@@ -21,10 +21,10 @@
 //   kStandard       — full-FP64 pipeline, bitwise-stable default
 //   kValuesOnly     — eigenvalues only; Q1/Q2 accumulation skipped, peak
 //                     workspace strictly below the standard path
-//   kMixedPrecision — FP32 band reduction + bulge chase, FP64 tridiagonal
-//                     solve + Ogita–Aishima refinement; automatic rerun in
-//                     full FP64 on refinement failure (recovery
-//                     "fp32->fp64")
+//   kMixedPrecision — the DBBR pipeline at float (reduction, chase, back
+//                     transform), FP64 tridiagonal solve + Ogita–Aishima
+//                     refinement; automatic rerun in full FP64 on
+//                     refinement failure (recovery "fp32->fp64")
 //
 // `vectors` and `mode` are one axis: eigh normalizes them against each
 // other (EvdOptions::mode docs); use tdg::eig::validate to see the

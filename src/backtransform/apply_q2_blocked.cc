@@ -19,8 +19,9 @@ namespace {
 constexpr index_t kColChunk = 32;
 
 // Apply all sweeps (reverse order, chunked) to the column slice `c`.
-void apply_columns(const bc::ChaseLog& log, MatrixView c, index_t group,
-                   double* w) {
+template <class T>
+void apply_columns(const bc::ChaseLogT<T>& log, MatrixViewT<T> c,
+                   index_t group, T* w) {
   const index_t nc = c.cols;
   // Sweeps in reverse; within a sweep the reflectors have pairwise-disjoint
   // row ranges, so a chunk of `group` consecutive steps is exactly
@@ -36,14 +37,14 @@ void apply_columns(const bc::ChaseLog& log, MatrixView c, index_t group,
 
       // W(r, :) = v_r^T C over the step's row band.
       for (index_t r = 0; r < q; ++r) {
-        const bc::Reflector& st = steps[static_cast<std::size_t>(lo + r)];
-        double* wr = w + static_cast<std::size_t>(r) * nc;
-        if (st.tau == 0.0) {
-          std::fill(wr, wr + nc, 0.0);
+        const bc::ReflectorT<T>& st = steps[static_cast<std::size_t>(lo + r)];
+        T* wr = w + static_cast<std::size_t>(r) * nc;
+        if (st.tau == T(0)) {
+          std::fill(wr, wr + nc, T(0));
           continue;
         }
         for (index_t j = 0; j < nc; ++j) {
-          double s = c(st.row0, j);  // v(0) = 1 implicit
+          T s = c(st.row0, j);  // v(0) = 1 implicit
           for (index_t i = 1; i < st.len; ++i) {
             s += sweep->vpool[static_cast<std::size_t>(st.voff + i - 1)] *
                  c(st.row0 + i, j);
@@ -53,11 +54,11 @@ void apply_columns(const bc::ChaseLog& log, MatrixView c, index_t group,
       }
       // C -= v_r * (tau_r * W(r, :)) for each reflector of the chunk.
       for (index_t r = 0; r < q; ++r) {
-        const bc::Reflector& st = steps[static_cast<std::size_t>(lo + r)];
-        if (st.tau == 0.0) continue;
-        const double* wr = w + static_cast<std::size_t>(r) * nc;
+        const bc::ReflectorT<T>& st = steps[static_cast<std::size_t>(lo + r)];
+        if (st.tau == T(0)) continue;
+        const T* wr = w + static_cast<std::size_t>(r) * nc;
         for (index_t j = 0; j < nc; ++j) {
-          const double tw = st.tau * wr[j];
+          const T tw = st.tau * wr[j];
           c(st.row0, j) -= tw;
           for (index_t i = 1; i < st.len; ++i) {
             c(st.row0 + i, j) -=
@@ -72,7 +73,8 @@ void apply_columns(const bc::ChaseLog& log, MatrixView c, index_t group,
 
 }  // namespace
 
-void apply_q2_left_blocked(const bc::ChaseLog& log, MatrixView c,
+template <class T>
+void apply_q2_left_blocked(const bc::ChaseLogT<T>& log, MatrixViewT<T> c,
                            index_t group) {
   TDG_CHECK(c.rows == log.n, "apply_q2_left_blocked: row mismatch");
   TDG_CHECK(group >= 1, "apply_q2_left_blocked: group must be >= 1");
@@ -101,10 +103,15 @@ void apply_q2_left_blocked(const bc::ChaseLog& log, MatrixView c,
   if (nc == 0) return;
 
   parallel_chunks(nc, kColChunk, [&](index_t jlo, index_t jhi) {
-    std::vector<double> w(static_cast<std::size_t>(group) *
-                          static_cast<std::size_t>(jhi - jlo));
+    std::vector<T> w(static_cast<std::size_t>(group) *
+                     static_cast<std::size_t>(jhi - jlo));
     apply_columns(log, c.block(0, jlo, c.rows, jhi - jlo), group, w.data());
   });
 }
+
+template void apply_q2_left_blocked<double>(const bc::ChaseLog&, MatrixView,
+                                            index_t);
+template void apply_q2_left_blocked<float>(const bc::ChaseLogT<float>&,
+                                           MatrixViewT<float>, index_t);
 
 }  // namespace tdg::bt

@@ -19,7 +19,8 @@ namespace tdg::bt {
 
 /// C <- Q2 * C using compact-WY blocks of up to `group` consecutive sweeps.
 /// Equivalent to bc::apply_q2_left (which is the group = 1 special case).
-void apply_q2_left_blocked(const bc::ChaseLog& log, MatrixView c,
+template <class T>
+void apply_q2_left_blocked(const bc::ChaseLogT<T>& log, MatrixViewT<T> c,
                            index_t group = 8);
 
 }  // namespace tdg::bt

@@ -16,6 +16,8 @@
 //    group's W reaches width kw (they use kw = 2048), then apply group by
 //    group. Fat GEMMs without the full-W blow-up.
 //
+// All three are templated on the scalar (double and float).
+//
 // Merge rule (WY representation, Section 2.1):
 //   (I - W1 Y1^T)(I - W2 Y2^T) = I - [W1 | W2 - W1 (Y1^T W2)] [Y1 | Y2]^T.
 #pragma once
@@ -26,24 +28,31 @@
 namespace tdg::bt {
 
 /// C <- Q1 C, one panel at a time (GEMM inner dimension = b).
-void apply_q1_conventional(const sbr::BandFactor& f, MatrixView c);
+template <class T>
+void apply_q1_conventional(const sbr::BandFactorT<T>& f, MatrixViewT<T> c);
 
 /// C <- Q1 C via the fully merged I - W Y^T (paper Algorithm 3).
-void apply_q1_recursive(const sbr::BandFactor& f, MatrixView c);
+template <class T>
+void apply_q1_recursive(const sbr::BandFactorT<T>& f, MatrixViewT<T> c);
 
 /// C <- Q1 C via group-wise merged W of width ~kw (paper Figure 13).
-void apply_q1_blocked(const sbr::BandFactor& f, index_t kw, MatrixView c);
+template <class T>
+void apply_q1_blocked(const sbr::BandFactorT<T>& f, index_t kw,
+                      MatrixViewT<T> c);
 
 /// A single merged WY pair: Q = I - W Y^T over global rows [row0, n).
-struct MergedWy {
+template <class T>
+struct MergedWyT {
   index_t row0 = 0;
-  Matrix w;
-  Matrix y;
+  MatrixT<T> w;
+  MatrixT<T> y;
 };
+using MergedWy = MergedWyT<double>;
 
 /// Merge consecutive panels [lo, hi) of `f` into one WY pair (exposed for
 /// tests and for the GPU-model trace of the merge GEMM shapes).
-MergedWy merge_panels(const sbr::BandFactor& f, std::size_t lo,
-                      std::size_t hi);
+template <class T>
+MergedWyT<T> merge_panels(const sbr::BandFactorT<T>& f, std::size_t lo,
+                          std::size_t hi);
 
 }  // namespace tdg::bt

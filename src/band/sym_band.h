@@ -8,8 +8,10 @@
 //  * The packed layout below (Figure 10 of the paper) stores each column's
 //    band segment contiguously (LAPACK "lower symmetric band" storage):
 //    entry (i, j), 0 <= i - j <= kd, lives at data[(i - j) + j * (kd + 1)].
-//    The whole band occupies (kd+1) * n doubles — small enough to live in an
+//    The whole band occupies (kd+1) * n scalars — small enough to live in an
 //    H100's 50 MB L2 for paper-scale matrices, and cache-friendly on a CPU.
+//    The container is templated on the scalar (double and float); the
+//    off-band diagnostics are FP64.
 //
 // Bulge chasing temporarily creates fill-in up to 2b below the diagonal, so
 // the container's storage bandwidth `kd` can exceed the logical bandwidth.
@@ -21,46 +23,49 @@
 
 namespace tdg {
 
-class SymBandMatrix {
+template <class T>
+class SymBandMatrixT {
  public:
-  SymBandMatrix() = default;
+  SymBandMatrixT() = default;
 
   /// n x n symmetric band matrix with storage bandwidth kd (entries with
   /// i - j in [0, kd] are representable), zero-initialised.
-  SymBandMatrix(index_t n, index_t kd);
+  SymBandMatrixT(index_t n, index_t kd);
 
   index_t n() const { return n_; }
   index_t kd() const { return kd_; }
 
   /// Entry (i, j) with i >= j and i - j <= kd.
-  double& at(index_t i, index_t j) {
+  T& at(index_t i, index_t j) {
     return data_[static_cast<std::size_t>(i - j) +
                  static_cast<std::size_t>(j) * (kd_ + 1)];
   }
-  double at(index_t i, index_t j) const {
+  T at(index_t i, index_t j) const {
     return data_[static_cast<std::size_t>(i - j) +
                  static_cast<std::size_t>(j) * (kd_ + 1)];
   }
 
   /// Entry in either triangle; zero outside the stored band.
-  double sym_at(index_t i, index_t j) const;
+  T sym_at(index_t i, index_t j) const;
 
-  double* data() { return data_.data(); }
-  const double* data() const { return data_.data(); }
+  T* data() { return data_.data(); }
+  const T* data() const { return data_.data(); }
 
   /// Dense n x n symmetric matrix with the band contents.
-  Matrix to_dense() const;
+  MatrixT<T> to_dense() const;
 
  private:
   index_t n_ = 0;
   index_t kd_ = 0;
-  std::vector<double> data_;
+  std::vector<T> data_;
 };
+using SymBandMatrix = SymBandMatrixT<double>;
 
 /// Extract the lower band (bandwidth b) of dense symmetric `a` (lower
 /// triangle is the source of truth) into packed storage with storage
 /// bandwidth kd >= b (extra room for bulge fill-in).
-SymBandMatrix extract_band(ConstMatrixView a, index_t b, index_t kd);
+template <class T = double>
+SymBandMatrixT<T> extract_band(InView<T> a, index_t b, index_t kd);
 
 /// Largest |entry| of the lower triangle of `a` strictly outside bandwidth b
 /// (i - j > b). Zero means `a` is a band matrix of bandwidth b.

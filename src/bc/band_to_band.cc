@@ -33,7 +33,7 @@ void reduce_band(SymBandMatrix& band, index_t b, index_t d, ChaseLog* log) {
   span.attr("b", b);
   span.attr("d", d);
 
-  PackedLowerAccessor acc{&band};
+  PackedLowerAccessor<double> acc{&band};
   for (index_t i = 0; i < nsweeps; ++i) {
     SweepReflectors* sl =
         (log != nullptr) ? &log->sweeps[static_cast<std::size_t>(i)] : nullptr;

@@ -10,14 +10,14 @@ struct NoWait {
   void operator()(index_t) const {}
 };
 
-template <class Acc>
-void chase_all_sequential(const Acc& acc, index_t b, ChaseLog* log) {
+template <class Acc, class T = typename Acc::value_type>
+void chase_all_sequential(const Acc& acc, index_t b, ChaseLogT<T>* log) {
   const index_t n = acc.n();
   if (log != nullptr) {
     log->n = n;
     log->b = b;
     log->sweeps.assign(static_cast<std::size_t>(std::max<index_t>(n - 2, 0)),
-                       SweepReflectors{});
+                       SweepReflectorsT<T>{});
   }
   if (b <= 1) return;  // bandwidth 1 is already tridiagonal
   obs::Span span("bulge_chase");
@@ -25,7 +25,7 @@ void chase_all_sequential(const Acc& acc, index_t b, ChaseLog* log) {
   span.attr("b", b);
   span.attr("nsweeps", std::max<index_t>(n - 2, 0));
   for (index_t i = 0; i + 2 < n; ++i) {
-    SweepReflectors* sl =
+    SweepReflectorsT<T>* sl =
         (log != nullptr) ? &log->sweeps[static_cast<std::size_t>(i)] : nullptr;
     chase_sweep(acc, b, i, sl, NoWait{}, NoWait{});
   }
@@ -40,11 +40,13 @@ void chase_dense(MatrixView a, index_t b, ChaseLog* log) {
   chase_all_sequential(acc, b, log);
 }
 
-void chase_packed(SymBandMatrix& band, index_t b, ChaseLog* log) {
+template <class T>
+void chase_packed(SymBandMatrixT<T>& band, index_t b,
+                  std::type_identity_t<ChaseLogT<T>*> log) {
   TDG_CHECK(b >= 1, "chase_packed: bandwidth must be positive");
   TDG_CHECK(band.kd() >= std::min(2 * b, band.n() - 1),
             "chase_packed: storage bandwidth must be >= 2b for bulge room");
-  PackedLowerAccessor acc{&band};
+  PackedLowerAccessor<T> acc{&band};
   chase_all_sequential(acc, b, log);
 }
 
@@ -59,7 +61,8 @@ void extract_tridiag(ConstMatrixView a, std::vector<double>& d,
   }
 }
 
-void extract_tridiag(const SymBandMatrix& band, std::vector<double>& d,
+template <class T>
+void extract_tridiag(const SymBandMatrixT<T>& band, std::vector<double>& d,
                      std::vector<double>& e) {
   const index_t n = band.n();
   d.assign(static_cast<std::size_t>(n), 0.0);
@@ -69,6 +72,13 @@ void extract_tridiag(const SymBandMatrix& band, std::vector<double>& d,
     if (i + 1 < n) e[static_cast<std::size_t>(i)] = band.at(i + 1, i);
   }
 }
+
+#define TDG_INSTANTIATE(T)                                                 \
+  template void chase_packed<T>(SymBandMatrixT<T>&, index_t, ChaseLogT<T>*); \
+  template void extract_tridiag<T>(const SymBandMatrixT<T>&,                 \
+                                   std::vector<double>&, std::vector<double>&);
+TDG_INSTANTIATE(double)
+TDG_INSTANTIATE(float)
 
 void apply_q2_left(const ChaseLog& log, MatrixView c) {
   TDG_CHECK(c.rows == log.n, "apply_q2_left: row mismatch");

@@ -89,15 +89,16 @@ class SpinDeadline {
   std::chrono::steady_clock::time_point start_{};
 };
 
-template <class Acc>
+template <class Acc, class T = typename Acc::value_type>
 void chase_all_parallel(const Acc& acc, index_t b,
-                        const ParallelChaseOptions& opts, ChaseLog* log) {
+                        const ParallelChaseOptions& opts, ChaseLogT<T>* log) {
   const index_t n = acc.n();
   const index_t nsweeps = std::max<index_t>(n - 2, 0);
   if (log != nullptr) {
     log->n = n;
     log->b = b;
-    log->sweeps.assign(static_cast<std::size_t>(nsweeps), SweepReflectors{});
+    log->sweeps.assign(static_cast<std::size_t>(nsweeps),
+                       SweepReflectorsT<T>{});
   }
   if (nsweeps == 0 || b <= 1) return;
 
@@ -226,7 +227,7 @@ void chase_all_parallel(const Acc& acc, index_t b,
                                                   std::memory_order_release);
         };
 
-        SweepReflectors* sl =
+        SweepReflectorsT<T>* sl =
             (log != nullptr) ? &log->sweeps[static_cast<std::size_t>(i)]
                              : nullptr;
         {
@@ -265,14 +266,23 @@ void chase_all_parallel(const Acc& acc, index_t b,
 
 }  // namespace
 
-void chase_packed_parallel(SymBandMatrix& band, index_t b,
-                           const ParallelChaseOptions& opts, ChaseLog* log) {
+template <class T>
+void chase_packed_parallel(SymBandMatrixT<T>& band, index_t b,
+                           const ParallelChaseOptions& opts,
+                           std::type_identity_t<ChaseLogT<T>*> log) {
   TDG_CHECK(b >= 1, "chase_packed_parallel: bandwidth must be positive");
   TDG_CHECK(band.kd() >= std::min(2 * b, band.n() - 1),
             "chase_packed_parallel: storage bandwidth must be >= 2b");
-  PackedLowerAccessor acc{&band};
+  PackedLowerAccessor<T> acc{&band};
   chase_all_parallel(acc, b, opts, log);
 }
+
+template void chase_packed_parallel<double>(SymBandMatrix&, index_t,
+                                            const ParallelChaseOptions&,
+                                            ChaseLog*);
+template void chase_packed_parallel<float>(SymBandMatrixT<float>&, index_t,
+                                           const ParallelChaseOptions&,
+                                           ChaseLogT<float>*);
 
 void chase_dense_parallel(MatrixView a, index_t b,
                           const ParallelChaseOptions& opts, ChaseLog* log) {

@@ -50,8 +50,10 @@ struct ParallelChaseOptions {
 
 /// Pipelined chase on the packed (Fig.-10) layout. Same contract as
 /// chase_packed.
-void chase_packed_parallel(SymBandMatrix& band, index_t b,
-                           const ParallelChaseOptions& opts, ChaseLog* log);
+template <class T>
+void chase_packed_parallel(SymBandMatrixT<T>& band, index_t b,
+                           const ParallelChaseOptions& opts,
+                           std::type_identity_t<ChaseLogT<T>*> log);
 
 /// Pipelined chase on the dense-embedded (naive) layout. Same contract as
 /// chase_dense.

@@ -7,6 +7,7 @@
 //                 CPU, our sequential chase is its stand-in).
 //   * kTwoStageDbbr — the paper's method: DBBR (Algorithm 1) + pipelined
 //                 parallel bulge chasing on the packed band (Algorithm 2).
+
 #pragma once
 
 #include <vector>
@@ -74,25 +75,32 @@ struct TridiagOptions {
   plan::Knobs knobs;
 };
 
-struct TridiagResult {
-  std::vector<double> d;  // diagonal of T
-  std::vector<double> e;  // sub-diagonal of T
+/// A two-stage reduction A = Q1 Q2 Tri Q2^T Q1^T with the reflectors at
+/// scalar T; the tridiagonal Tri is FP64 (the solvers' precision).
+template <class T>
+struct TwoStageT {
+  std::vector<double> d;  // diagonal of Tri
+  std::vector<double> e;  // sub-diagonal of Tri
   /// Effective band width used (clamped to n-1).
   index_t b = 0;
   /// Effective DBBR outer block used (resolved + rounded to a multiple of
   /// b); 0 for the direct method.
   index_t k = 0;
-  TridiagMethod method = TridiagMethod::kTwoStageDbbr;
 
   // Factors for back transformation (populated when want_factors):
-  sbr::BandFactor stage1;             // two-stage only
-  bc::ChaseLog stage2;                // two-stage only
-  Matrix direct_a;                    // direct only: reflectors in lower tri
-  std::vector<double> direct_taus;    // direct only
+  sbr::BandFactorT<T> stage1;
+  bc::ChaseLogT<T> stage2;
 
   // Phase wall-clock (seconds), for benches/examples.
   double seconds_stage1 = 0.0;  // SBR/DBBR, or the whole sytrd for kDirect
   double seconds_stage2 = 0.0;  // bulge chasing
+};
+
+struct TridiagResult : TwoStageT<double> {
+  TridiagMethod method = TridiagMethod::kTwoStageDbbr;
+  // stage1 / stage2 are populated by the two-stage methods only.
+  Matrix direct_a;                  // direct only: reflectors in lower tri
+  std::vector<double> direct_taus;  // direct only
 };
 
 /// Throw Error(kInvalidInput) naming `stage` if the lower triangle of `a`
@@ -124,6 +132,23 @@ struct ApplyQBreakdown {
   double seconds_q2 = 0.0;  // stage-2 (bulge-chase reflectors) application
   double seconds_q1 = 0.0;  // stage-1 (band-reduction) application
 };
+
+/// The paper's two-stage reduction (kTwoStageDbbr) at scalar T — double for
+/// the FP64 drivers, float for the mixed-precision engine: dbbr ->
+/// extract_band -> packed bulge chase (pipelined when opts.parallel_bc) ->
+/// extract_tridiag. `work` holds the symmetric input and is overwritten;
+/// `opts` must be resolved (no auto knobs).
+template <class T>
+void reduce_two_stage(MatrixViewT<T> work, const TridiagOptions& opts,
+                      TwoStageT<T>& out);
+
+/// Its back transformation c <- Q1 Q2 c: the blocked stage-2 application
+/// (knobs.q2_group), then the blocked stage-1 application (knobs.bt_kw).
+/// `opts` must be resolved; `breakdown` (optional) receives the stage times.
+template <class T>
+void back_transform_two_stage(const TwoStageT<T>& f, MatrixViewT<T> c,
+                              const ApplyQOptions& opts,
+                              ApplyQBreakdown* breakdown = nullptr);
 
 /// Apply the accumulated orthogonal factor: c <- Q c where A = Q T Q^T.
 /// Requires the result to have been computed with want_factors = true.

@@ -261,9 +261,10 @@ EvdResult eigh_impl(ConstMatrixView a, const EvdOptions& opts,
 
   // Mixed precision: FP32 reduction engine + FP64 refinement. A failed
   // residual test (or a tridiagonal-solver breakdown inside the engine) is
-  // recovered by falling through to the standard FP64 pipeline below, with
-  // the plan re-resolved at FP64 so provenance names the run that actually
-  // produced the result.
+  // recovered by falling through to the standard FP64 pipeline below, as
+  // are problems too small for the engine (n < 3, no recovery recorded);
+  // either way the plan is re-resolved at FP64 so the mode and provenance
+  // name the run that actually produced the result.
   std::string recovery_prefix;
   if (eff.precision == plan::Precision::kFp32 && n >= 3) {
     static obs::Counter* const refine_iters = obs::Registry::global().counter(
@@ -288,6 +289,8 @@ EvdResult eigh_impl(ConstMatrixView a, const EvdOptions& opts,
     fp32_fallbacks->inc();
     recovery_prefix = "fp32->fp64";
     res.recovery = recovery_prefix;
+  }
+  if (eff.precision == plan::Precision::kFp32) {
     res.mode = plan::EvdMode::kStandard;
     ropts.mode = plan::EvdMode::kStandard;
     cfg = resolve_evd(ropts, n, /*subset=*/0, pre);

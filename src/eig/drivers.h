@@ -114,7 +114,8 @@ struct EvdResult {
   double seconds_backtransform = 0.0;
   double seconds_refine = 0.0;  // kMixedPrecision only
   /// Per-phase measured/model breakdown; empty unless EvdOptions::profile
-  /// (standard-mode FP64 runs only — the FP32 engine is untraced).
+  /// (FP64 runs only — a mixed-precision result that did not fall back
+  /// carries none).
   EvdProfile profile;
 };
 

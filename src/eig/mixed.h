@@ -1,9 +1,10 @@
 // The mixed-precision EVD engine (EvdOptions mode kMixedPrecision).
 //
-// Pipeline: demote A to FP32 -> float DBBR band reduction (sbr/band32.h)
-// -> float bulge chase (bc/chase32.h) -> FP64 tridiagonal solve (the
-// O(n^2)-to-O(n^3)-but-cheap middle, where FP32 eigenvalue error would be
-// amplified for free) -> float Q2/Q1 back transformation -> promote ->
+// Pipeline: demote A to FP32 -> the FP64 engine's two-stage DBBR reduction
+// run at float (core/tridiag.h reduce_two_stage<float>: look-ahead DBBR,
+// packed pipelined bulge chase) -> FP64 tridiagonal solve (cheap relative
+// to the reduction, and where FP32 eigenvalue error would be amplified for
+// free) -> the blocked Q2/Q1 back transformation at float -> promote ->
 // FP64 Ogita–Aishima refinement (eig/refine.h).
 //
 // The engine never throws on numeric failure: a non-converged refinement
@@ -24,7 +25,7 @@ struct MixedOutcome {
   std::vector<double> eigenvalues;  // ascending
   Matrix eigenvectors;              // n x n
   RefineOutcome refine;             // iterations, residual, acceptance scale
-  double seconds_fp32 = 0.0;        // float reduction + back-transform time
+  double seconds_fp32 = 0.0;  // float reduction + back-transform time
   double seconds_solver = 0.0;      // FP64 tridiagonal solve time
   double seconds_refine = 0.0;      // FP64 refinement time
 };

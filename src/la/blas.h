@@ -1,7 +1,10 @@
-// From-scratch BLAS subset (FP64, column-major) used by every algorithm in
-// the library. This is the substrate standing in for cuBLAS: the algorithms
+// From-scratch BLAS subset (column-major) used by every algorithm in the
+// library. This is the substrate standing in for cuBLAS: the algorithms
 // above it call these kernels with exactly the shapes they would submit to a
 // GPU, and each call is recorded in the active trace (common/trace.h).
+//
+// The kernels the two-stage pipeline runs are templated on the scalar T and
+// instantiated for double and float (la/matrix.h); the rest are FP64.
 #pragma once
 
 #include "la/matrix.h"
@@ -15,25 +18,31 @@ namespace la {
 // ----- BLAS 1 (contiguous vectors) -----
 
 /// sum_i x[i] * y[i]
-double dot(index_t n, const double* x, const double* y);
+template <class T>
+T dot(index_t n, const T* x, const T* y);
 
 /// y += alpha * x
-void axpy(index_t n, double alpha, const double* x, double* y);
+template <class T>
+void axpy(index_t n, Scalar<T> alpha, const T* x, T* y);
 
 /// x *= alpha
-void scal(index_t n, double alpha, double* x);
+template <class T>
+void scal(index_t n, Scalar<T> alpha, T* x);
 
 /// Euclidean norm with overflow-safe scaling.
-double nrm2(index_t n, const double* x);
+template <class T>
+T nrm2(index_t n, const T* x);
 
 // ----- BLAS 2 -----
 
 /// y = alpha * op(A) x + beta * y
-void gemv(Trans ta, double alpha, ConstMatrixView a, const double* x,
-          double beta, double* y);
+template <class T>
+void gemv(Trans ta, Scalar<T> alpha, InView<T> a, const T* x, Scalar<T> beta,
+          T* y);
 
 /// A += alpha * x y^T
-void ger(double alpha, const double* x, const double* y, MatrixView a);
+template <class T>
+void ger(Scalar<T> alpha, const T* x, const T* y, MatrixViewT<T> a);
 
 /// y = alpha * A x + beta * y, A symmetric with data in the lower triangle.
 void symv_lower(double alpha, ConstMatrixView a, const double* x, double beta,
@@ -45,19 +54,22 @@ void syr2_lower(double alpha, const double* x, const double* y, MatrixView a);
 // ----- BLAS 3 -----
 
 /// C = alpha * op(A) op(B) + beta * C
-void gemm(Trans ta, Trans tb, double alpha, ConstMatrixView a,
-          ConstMatrixView b, double beta, MatrixView c);
+template <class T>
+void gemm(Trans ta, Trans tb, Scalar<T> alpha, InView<T> a, InView<T> b,
+          Scalar<T> beta, MatrixViewT<T> c);
 
 /// C = alpha * (A B^T + B A^T) + beta * C, lower triangle of C only.
 /// Reference column-sweep implementation (the "cuBLAS syr2k" stand-in).
-void syr2k_lower(double alpha, ConstMatrixView a, ConstMatrixView b,
-                 double beta, MatrixView c);
+template <class T>
+void syr2k_lower(Scalar<T> alpha, InView<T> a, InView<T> b, Scalar<T> beta,
+                 MatrixViewT<T> c);
 
 /// C(m x w) = alpha * A B + beta * C with A (m x m) symmetric, data in the
 /// lower triangle only. Recorded in the trace as an m x w x m GEMM — on a
 /// GPU a symm runs the same flops and tiles as the equivalent gemm.
-void symm_lower(double alpha, ConstMatrixView a, ConstMatrixView b,
-                double beta, MatrixView c);
+template <class T>
+void symm_lower(Scalar<T> alpha, InView<T> a, InView<T> b, Scalar<T> beta,
+                MatrixViewT<T> c);
 
 /// Same contract as syr2k_lower, but computed with the paper's Fig.-7
 /// schedule: the lower triangle is tiled into square blocks which are
@@ -66,8 +78,9 @@ void symm_lower(double alpha, ConstMatrixView a, ConstMatrixView b,
 /// within one iteration are independent and are dispatched to the thread
 /// pool (the CPU realization of the paper's streamed schedule).
 /// `block` is the square tile size (0 = pick a default).
-void syr2k_lower_square(double alpha, ConstMatrixView a, ConstMatrixView b,
-                        double beta, MatrixView c, index_t block = 0);
+template <class T>
+void syr2k_lower_square(Scalar<T> alpha, InView<T> a, InView<T> b,
+                        Scalar<T> beta, MatrixViewT<T> c, index_t block = 0);
 
 /// Effective square tile size the Fig.-7 schedule uses for an n x n update
 /// when the caller passed `block` (0 = default). Exposed so DAG schedulers
@@ -82,10 +95,12 @@ namespace detail {
 // thread-local), so the scheduler records the per-block ops on its own
 // thread and routes the arithmetic through these. Shapes must already be
 // validated by the caller.
-void gemm_notrace(Trans ta, Trans tb, double alpha, ConstMatrixView a,
-                  ConstMatrixView b, double beta, MatrixView c);
-void syr2k_lower_notrace(double alpha, ConstMatrixView a, ConstMatrixView b,
-                         double beta, MatrixView c);
+template <class T>
+void gemm_notrace(Trans ta, Trans tb, Scalar<T> alpha, InView<T> a,
+                  InView<T> b, Scalar<T> beta, MatrixViewT<T> c);
+template <class T>
+void syr2k_lower_notrace(Scalar<T> alpha, InView<T> a, InView<T> b,
+                         Scalar<T> beta, MatrixViewT<T> c);
 
 /// One tile (bi, bj), bi >= bj, of the square-block syr2k schedule over the
 /// full lower-triangle update C += alpha (A B^T + B A^T): the diagonal tile
@@ -93,9 +108,10 @@ void syr2k_lower_notrace(double alpha, ConstMatrixView a, ConstMatrixView b,
 /// Untraced — schedulers record the shape on the dispatching thread. All
 /// tiles write disjoint regions of C, so any execution order (or none of
 /// the barrier structure) gives bitwise-identical results.
-void syr2k_square_tile(double alpha, ConstMatrixView a, ConstMatrixView b,
-                       double beta, MatrixView c, index_t block, index_t bi,
-                       index_t bj);
+template <class T>
+void syr2k_square_tile(Scalar<T> alpha, InView<T> a, InView<T> b,
+                       Scalar<T> beta, MatrixViewT<T> c, index_t block,
+                       index_t bi, index_t bj);
 
 }  // namespace detail
 

@@ -3,40 +3,48 @@
 
 namespace tdg::la {
 
-void gemv(Trans ta, double alpha, ConstMatrixView a, const double* x,
-          double beta, double* y) {
+template <class T>
+void gemv(Trans ta, Scalar<T> alpha, InView<T> a, const T* x, Scalar<T> beta,
+          T* y) {
   trace::record({trace::OpKind::kGemv, a.rows, a.cols, 0, 1});
   if (ta == Trans::kNo) {
     // y(m) = alpha * A x + beta * y — column-sweep (axpy-rich).
-    if (beta != 1.0) {
+    if (beta != T(1)) {
       for (index_t i = 0; i < a.rows; ++i) y[i] *= beta;
     }
     for (index_t j = 0; j < a.cols; ++j) {
-      const double axj = alpha * x[j];
-      if (axj == 0.0) continue;
-      const double* cj = a.col(j);
+      const T axj = alpha * x[j];
+      if (axj == T(0)) continue;
+      const T* cj = a.col(j);
       for (index_t i = 0; i < a.rows; ++i) y[i] += axj * cj[i];
     }
   } else {
     // y(n) = alpha * A^T x + beta * y — dot-rich.
     for (index_t j = 0; j < a.cols; ++j) {
-      const double* cj = a.col(j);
-      double s = 0.0;
+      const T* cj = a.col(j);
+      T s = 0;
       for (index_t i = 0; i < a.rows; ++i) s += cj[i] * x[i];
       y[j] = alpha * s + beta * y[j];
     }
   }
 }
 
-void ger(double alpha, const double* x, const double* y, MatrixView a) {
+template <class T>
+void ger(Scalar<T> alpha, const T* x, const T* y, MatrixViewT<T> a) {
   trace::record({trace::OpKind::kGer, a.rows, a.cols, 0, 1});
   for (index_t j = 0; j < a.cols; ++j) {
-    const double ayj = alpha * y[j];
-    if (ayj == 0.0) continue;
-    double* cj = a.col(j);
+    const T ayj = alpha * y[j];
+    if (ayj == T(0)) continue;
+    T* cj = a.col(j);
     for (index_t i = 0; i < a.rows; ++i) cj[i] += ayj * x[i];
   }
 }
+
+#define TDG_INSTANTIATE(T)                                                 \
+  template void gemv<T>(Trans, T, ConstMatrixViewT<T>, const T*, T, T*);  \
+  template void ger<T>(T, const T*, const T*, MatrixViewT<T>);
+TDG_INSTANTIATE(double)
+TDG_INSTANTIATE(float)
 
 void symv_lower(double alpha, ConstMatrixView a, const double* x, double beta,
                 double* y) {

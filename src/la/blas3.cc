@@ -33,11 +33,14 @@ namespace tdg::la {
 
 namespace {
 
-// Cache-block sizes: the packed A tile (kMC x kKC doubles = 256 KiB) targets
-// L2; the 8-column C strip of a tile (kMC x 8 doubles = 8 KiB) lives in L1
-// across the K sweep; kNC bounds the packed B panel working set per task.
+// Cache-block sizes: the packed A tile (kMC x kKC scalars, 256 KiB) targets
+// L2, so kKC follows the scalar width (256 doubles, 512 floats); the
+// 8-column C strip of a tile (kMC x 8 scalars) lives in L1 across the K
+// sweep; kNC bounds the packed B panel working set per task.
 constexpr index_t kMC = 128;
-constexpr index_t kKC = 256;
+constexpr std::size_t kATileBytes = 256 * 1024;
+template <class T>
+constexpr index_t kKC = kATileBytes / (kMC * sizeof(T));
 constexpr index_t kNC = 512;
 
 // NN problems below this flop volume skip packing and dispatch entirely
@@ -50,8 +53,9 @@ constexpr index_t kJB = 32;
 // Core kernel: C = alpha * A(m x k) * B(k x n) + beta * C, no transposes.
 // Column-register blocking: 8 output columns per pass so each A column is
 // read once per 8 C columns.
-void gemm_nn_kernel(double alpha, ConstMatrixView a, ConstMatrixView b,
-                    double beta, MatrixView c) {
+template <class T>
+void gemm_nn_kernel(T alpha, ConstMatrixViewT<T> a, ConstMatrixViewT<T> b,
+                    T beta, MatrixViewT<T> c) {
   const index_t m = c.rows;
   const index_t n = c.cols;
   const index_t k = a.cols;
@@ -59,27 +63,27 @@ void gemm_nn_kernel(double alpha, ConstMatrixView a, ConstMatrixView b,
 
   for (index_t jj = 0; jj < n; jj += kColBlock) {
     const index_t jb = std::min(kColBlock, n - jj);
-    if (beta != 1.0) {
+    if (beta != T(1)) {
       for (index_t j = jj; j < jj + jb; ++j) {
-        double* cj = c.col(j);
-        if (beta == 0.0) {
-          std::fill(cj, cj + m, 0.0);
+        T* cj = c.col(j);
+        if (beta == T(0)) {
+          std::fill(cj, cj + m, T(0));
         } else {
           for (index_t i = 0; i < m; ++i) cj[i] *= beta;
         }
       }
     }
     for (index_t l = 0; l < k; ++l) {
-      const double* al = a.col(l);
-      double coef[kColBlock];
-      double* ccol[kColBlock];
+      const T* al = a.col(l);
+      T coef[kColBlock];
+      T* ccol[kColBlock];
       for (index_t t = 0; t < jb; ++t) {
         coef[t] = alpha * b(l, jj + t);
         ccol[t] = c.col(jj + t);
       }
       if (jb == kColBlock) {
         for (index_t i = 0; i < m; ++i) {
-          const double ai = al[i];
+          const T ai = al[i];
           ccol[0][i] += coef[0] * ai;
           ccol[1][i] += coef[1] * ai;
           ccol[2][i] += coef[2] * ai;
@@ -91,8 +95,8 @@ void gemm_nn_kernel(double alpha, ConstMatrixView a, ConstMatrixView b,
         }
       } else {
         for (index_t t = 0; t < jb; ++t) {
-          const double ct = coef[t];
-          double* cc = ccol[t];
+          const T ct = coef[t];
+          T* cc = ccol[t];
           for (index_t i = 0; i < m; ++i) cc[i] += ct * al[i];
         }
       }
@@ -102,18 +106,19 @@ void gemm_nn_kernel(double alpha, ConstMatrixView a, ConstMatrixView b,
 
 // Pack op(A)(:, pc:pc+kc) into dst (m x kc column-major, ld = m),
 // parallel over disjoint row ranges.
-void pack_a_panel(Trans ta, ConstMatrixView a, index_t pc, index_t kc,
-                  index_t m, double* dst) {
+template <class T>
+void pack_a_panel(Trans ta, ConstMatrixViewT<T> a, index_t pc, index_t kc,
+                  index_t m, T* dst) {
   parallel_chunks(m, kMC, [&](index_t lo, index_t hi) {
     if (ta == Trans::kNo) {
       for (index_t l = 0; l < kc; ++l) {
         std::memcpy(dst + lo + l * m, a.col(pc + l) + lo,
-                    static_cast<std::size_t>(hi - lo) * sizeof(double));
+                    static_cast<std::size_t>(hi - lo) * sizeof(T));
       }
     } else {
       // op(A)(i, l) = a(pc + l, i): read each source column contiguously.
       for (index_t i = lo; i < hi; ++i) {
-        const double* ai = a.col(i) + pc;
+        const T* ai = a.col(i) + pc;
         for (index_t l = 0; l < kc; ++l) dst[i + l * m] = ai[l];
       }
     }
@@ -122,28 +127,30 @@ void pack_a_panel(Trans ta, ConstMatrixView a, index_t pc, index_t kc,
 
 // Pack op(B)(pc:pc+kc, :) into dst (kc x n column-major, ld = kc),
 // parallel over disjoint column ranges.
-void pack_b_panel(Trans tb, ConstMatrixView b, index_t pc, index_t kc,
-                  index_t n, double* dst) {
+template <class T>
+void pack_b_panel(Trans tb, ConstMatrixViewT<T> b, index_t pc, index_t kc,
+                  index_t n, T* dst) {
   parallel_chunks(n, kNC, [&](index_t lo, index_t hi) {
     if (tb == Trans::kNo) {
       for (index_t j = lo; j < hi; ++j) {
         std::memcpy(dst + j * kc, b.col(j) + pc,
-                    static_cast<std::size_t>(kc) * sizeof(double));
+                    static_cast<std::size_t>(kc) * sizeof(T));
       }
     } else {
       // op(B)(l, j) = b(j, pc + l): read each source column contiguously.
       for (index_t l = 0; l < kc; ++l) {
-        const double* bl = b.col(pc + l);
+        const T* bl = b.col(pc + l);
         for (index_t j = lo; j < hi; ++j) dst[l + j * kc] = bl[j];
       }
     }
   });
 }
 
-void scale_columns(double beta, MatrixView c) {
-  if (beta == 1.0) return;
+template <class T>
+void scale_columns(T beta, MatrixViewT<T> c) {
+  if (beta == T(1)) return;
   for (index_t j = 0; j < c.cols; ++j) {
-    double* cj = c.col(j);
+    T* cj = c.col(j);
     for (index_t i = 0; i < c.rows; ++i) cj[i] *= beta;
   }
 }
@@ -151,25 +158,26 @@ void scale_columns(double beta, MatrixView c) {
 // Packed MC x KC x NC loop nest. The K loop stays outermost and ascending,
 // so each C element accumulates its k contributions in exactly the order
 // the unblocked kernel used.
-void gemm_packed(Trans ta, Trans tb, double alpha, ConstMatrixView a,
-                 ConstMatrixView b, double beta, MatrixView c) {
+template <class T>
+void gemm_packed(Trans ta, Trans tb, T alpha, ConstMatrixViewT<T> a,
+                 ConstMatrixViewT<T> b, T beta, MatrixViewT<T> c) {
   const index_t m = c.rows;
   const index_t n = c.cols;
   const index_t k = (ta == Trans::kNo) ? a.cols : a.rows;
 
-  const index_t kc_max = std::min(k, kKC);
-  std::vector<double> apack(static_cast<std::size_t>(m) * kc_max);
-  std::vector<double> bpack(static_cast<std::size_t>(kc_max) * n);
+  const index_t kc_max = std::min(k, kKC<T>);
+  std::vector<T> apack(static_cast<std::size_t>(m) * kc_max);
+  std::vector<T> bpack(static_cast<std::size_t>(kc_max) * n);
   const index_t nmb = (m + kMC - 1) / kMC;
   const index_t nnb = (n + kNC - 1) / kNC;
 
-  for (index_t pc = 0; pc < k; pc += kKC) {
-    const index_t kc = std::min(kKC, k - pc);
+  for (index_t pc = 0; pc < k; pc += kKC<T>) {
+    const index_t kc = std::min(kKC<T>, k - pc);
     pack_a_panel(ta, a, pc, kc, m, apack.data());
     pack_b_panel(tb, b, pc, kc, n, bpack.data());
-    const ConstMatrixView ap{apack.data(), m, kc, m};
-    const ConstMatrixView bp{bpack.data(), kc, n, kc};
-    const double beta_eff = (pc == 0) ? beta : 1.0;
+    const ConstMatrixViewT<T> ap{apack.data(), m, kc, m};
+    const ConstMatrixViewT<T> bp{bpack.data(), kc, n, kc};
+    const T beta_eff = (pc == 0) ? beta : T(1);
 
     ThreadPool::global().parallel_for(0, nmb * nnb, [&](index_t t) {
       const index_t bi = t % nmb;
@@ -188,13 +196,14 @@ void gemm_packed(Trans ta, Trans tb, double alpha, ConstMatrixView a,
 
 namespace detail {
 
-void gemm_notrace(Trans ta, Trans tb, double alpha, ConstMatrixView a,
-                  ConstMatrixView b, double beta, MatrixView c) {
+template <class T>
+void gemm_notrace(Trans ta, Trans tb, Scalar<T> alpha, InView<T> a,
+                  InView<T> b, Scalar<T> beta, MatrixViewT<T> c) {
   const index_t m = c.rows;
   const index_t n = c.cols;
   const index_t k = (ta == Trans::kNo) ? a.cols : a.rows;
   if (m == 0 || n == 0) return;
-  if (k == 0 || alpha == 0.0) {
+  if (k == 0 || alpha == T(0)) {
     scale_columns(beta, c);
     return;
   }
@@ -205,8 +214,9 @@ void gemm_notrace(Trans ta, Trans tb, double alpha, ConstMatrixView a,
   gemm_packed(ta, tb, alpha, a, b, beta, c);
 }
 
-void syr2k_lower_notrace(double alpha, ConstMatrixView a, ConstMatrixView b,
-                         double beta, MatrixView c) {
+template <class T>
+void syr2k_lower_notrace(Scalar<T> alpha, InView<T> a, InView<T> b,
+                         Scalar<T> beta, MatrixViewT<T> c) {
   const index_t n = c.rows;
   const index_t k = a.cols;
   // Fixed kJB-column blocks of the lower triangle, distributed over the
@@ -214,19 +224,19 @@ void syr2k_lower_notrace(double alpha, ConstMatrixView a, ConstMatrixView b,
   // serve every block column. Each element still accumulates in ascending
   // l order — bitwise identical to the plain column sweep.
   parallel_chunks(n, kJB, [&](index_t lo, index_t hi) {
-    if (beta != 1.0) {
+    if (beta != T(1)) {
       for (index_t j = lo; j < hi; ++j) {
-        double* cj = c.col(j);
+        T* cj = c.col(j);
         for (index_t i = j; i < n; ++i) cj[i] *= beta;
       }
     }
     for (index_t l = 0; l < k; ++l) {
-      const double* al = a.col(l);
-      const double* bl = b.col(l);
+      const T* al = a.col(l);
+      const T* bl = b.col(l);
       for (index_t j = lo; j < hi; ++j) {
-        const double abj = alpha * b(j, l);
-        const double aaj = alpha * a(j, l);
-        double* cj = c.col(j);
+        const T abj = alpha * b(j, l);
+        const T aaj = alpha * a(j, l);
+        T* cj = c.col(j);
         for (index_t i = j; i < n; ++i) {
           cj[i] += abj * al[i] + aaj * bl[i];
         }
@@ -237,8 +247,9 @@ void syr2k_lower_notrace(double alpha, ConstMatrixView a, ConstMatrixView b,
 
 }  // namespace detail
 
-void gemm(Trans ta, Trans tb, double alpha, ConstMatrixView a,
-          ConstMatrixView b, double beta, MatrixView c) {
+template <class T>
+void gemm(Trans ta, Trans tb, Scalar<T> alpha, InView<T> a, InView<T> b,
+          Scalar<T> beta, MatrixViewT<T> c) {
   const index_t opa_rows = (ta == Trans::kNo) ? a.rows : a.cols;
   const index_t opa_cols = (ta == Trans::kNo) ? a.cols : a.rows;
   const index_t opb_rows = (tb == Trans::kNo) ? b.rows : b.cols;
@@ -246,20 +257,22 @@ void gemm(Trans ta, Trans tb, double alpha, ConstMatrixView a,
   TDG_CHECK(opa_rows == c.rows && opb_cols == c.cols && opa_cols == opb_rows,
             "gemm: shape mismatch");
   trace::record({trace::OpKind::kGemm, c.rows, c.cols, opa_cols, 1});
-  detail::gemm_notrace(ta, tb, alpha, a, b, beta, c);
+  detail::gemm_notrace<T>(ta, tb, alpha, a, b, beta, c);
 }
 
-void syr2k_lower(double alpha, ConstMatrixView a, ConstMatrixView b,
-                 double beta, MatrixView c) {
+template <class T>
+void syr2k_lower(Scalar<T> alpha, InView<T> a, InView<T> b, Scalar<T> beta,
+                 MatrixViewT<T> c) {
   TDG_CHECK(c.rows == c.cols, "syr2k_lower: C must be square");
   TDG_CHECK(a.rows == c.rows && b.rows == c.rows && a.cols == b.cols,
             "syr2k_lower: shape mismatch");
   trace::record({trace::OpKind::kSyr2k, c.rows, c.rows, a.cols, 1});
-  detail::syr2k_lower_notrace(alpha, a, b, beta, c);
+  detail::syr2k_lower_notrace<T>(alpha, a, b, beta, c);
 }
 
-void symm_lower(double alpha, ConstMatrixView a, ConstMatrixView b,
-                double beta, MatrixView c) {
+template <class T>
+void symm_lower(Scalar<T> alpha, InView<T> a, InView<T> b, Scalar<T> beta,
+                MatrixViewT<T> c) {
   TDG_CHECK(a.rows == a.cols, "symm_lower: A must be square");
   TDG_CHECK(a.rows == b.rows && b.rows == c.rows && b.cols == c.cols,
             "symm_lower: shape mismatch");
@@ -270,11 +283,11 @@ void symm_lower(double alpha, ConstMatrixView a, ConstMatrixView b,
   // Output columns are independent; distribute fixed-width column blocks
   // over the pool, each running the one-pass lower-triangle sweep.
   parallel_chunks(w, kJB, [&](index_t lo, index_t hi) {
-    if (beta != 1.0) {
+    if (beta != T(1)) {
       for (index_t j = lo; j < hi; ++j) {
-        double* cj = c.col(j);
-        if (beta == 0.0) {
-          std::fill(cj, cj + n, 0.0);
+        T* cj = c.col(j);
+        if (beta == T(0)) {
+          std::fill(cj, cj + n, T(0));
         } else {
           for (index_t i = 0; i < n; ++i) cj[i] *= beta;
         }
@@ -283,13 +296,13 @@ void symm_lower(double alpha, ConstMatrixView a, ConstMatrixView b,
     // One pass over the stored (lower) columns of A; column l contributes
     // to rows l..n-1 directly and to row l via the mirrored entries.
     for (index_t l = 0; l < n; ++l) {
-      const double* al = a.col(l);
+      const T* al = a.col(l);
       for (index_t j = lo; j < hi; ++j) {
-        double* cj = c.col(j);
-        const double* bj = b.col(j);
-        const double abl = alpha * bj[l];
+        T* cj = c.col(j);
+        const T* bj = b.col(j);
+        const T abl = alpha * bj[l];
         cj[l] += abl * al[l];
-        double s = 0.0;
+        T s = 0;
         for (index_t i = l + 1; i < n; ++i) {
           cj[i] += abl * al[i];
           s += al[i] * bj[i];
@@ -299,5 +312,20 @@ void symm_lower(double alpha, ConstMatrixView a, ConstMatrixView b,
     }
   });
 }
+
+#define TDG_INSTANTIATE(T)                                                 \
+  template void gemm<T>(Trans, Trans, T, ConstMatrixViewT<T>,                \
+                        ConstMatrixViewT<T>, T, MatrixViewT<T>);             \
+  template void syr2k_lower<T>(T, ConstMatrixViewT<T>, ConstMatrixViewT<T>,  \
+                               T, MatrixViewT<T>);                           \
+  template void symm_lower<T>(T, ConstMatrixViewT<T>, ConstMatrixViewT<T>,   \
+                              T, MatrixViewT<T>);                            \
+  template void detail::gemm_notrace<T>(Trans, Trans, T, ConstMatrixViewT<T>, \
+                                        ConstMatrixViewT<T>, T,              \
+                                        MatrixViewT<T>);                     \
+  template void detail::syr2k_lower_notrace<T>(                              \
+      T, ConstMatrixViewT<T>, ConstMatrixViewT<T>, T, MatrixViewT<T>);
+TDG_INSTANTIATE(double)
+TDG_INSTANTIATE(float)
 
 }  // namespace tdg::la

@@ -6,20 +6,56 @@
 
 namespace tdg {
 
-void copy(ConstMatrixView src, MatrixView dst) {
+template <class T>
+void copy(InView<T> src, MatrixViewT<T> dst) {
   TDG_CHECK(src.rows == dst.rows && src.cols == dst.cols,
             "copy: shape mismatch");
   for (index_t j = 0; j < src.cols; ++j) {
     std::memcpy(dst.col(j), src.col(j),
-                static_cast<std::size_t>(src.rows) * sizeof(double));
+                static_cast<std::size_t>(src.rows) * sizeof(T));
   }
 }
 
-void fill(MatrixView a, double value) {
+template <class T>
+void fill(MatrixViewT<T> a, Scalar<T> value) {
   for (index_t j = 0; j < a.cols; ++j) {
     std::fill(a.col(j), a.col(j) + a.rows, value);
   }
 }
+
+template <class To, class From>
+MatrixT<To> converted(InView<From> a) {
+  MatrixT<To> out(a.rows, a.cols);
+  for (index_t j = 0; j < a.cols; ++j) {
+    const From* s = a.col(j);
+    To* d = out.view().col(j);
+    for (index_t i = 0; i < a.rows; ++i) d[i] = static_cast<To>(s[i]);
+  }
+  return out;
+}
+
+template <class T>
+T max_abs_diff(InView<T> a, InView<T> b) {
+  TDG_CHECK(a.rows == b.rows && a.cols == b.cols,
+            "max_abs_diff: shape mismatch");
+  T m = 0;
+  for (index_t j = 0; j < a.cols; ++j) {
+    for (index_t i = 0; i < a.rows; ++i) {
+      m = std::max(m, std::abs(a(i, j) - b(i, j)));
+    }
+  }
+  return m;
+}
+
+#define TDG_INSTANTIATE(T)                                             \
+  template void copy<T>(ConstMatrixViewT<T>, MatrixViewT<T>);          \
+  template void fill<T>(MatrixViewT<T>, T);                            \
+  template T max_abs_diff<T>(ConstMatrixViewT<T>, ConstMatrixViewT<T>);
+TDG_INSTANTIATE(double)
+TDG_INSTANTIATE(float)
+template MatrixT<float> converted<float, double>(ConstMatrixView);
+template MatrixT<double> converted<double, float>(ConstMatrixViewT<float>);
+template MatrixT<double> converted<double, double>(ConstMatrixView);
 
 void symmetrize_from_lower(MatrixView a) {
   TDG_CHECK(a.rows == a.cols, "symmetrize_from_lower: view must be square");
@@ -30,18 +66,6 @@ void symmetrize_from_lower(MatrixView a) {
   }
 }
 
-double max_abs_diff(ConstMatrixView a, ConstMatrixView b) {
-  TDG_CHECK(a.rows == b.rows && a.cols == b.cols,
-            "max_abs_diff: shape mismatch");
-  double m = 0.0;
-  for (index_t j = 0; j < a.cols; ++j) {
-    for (index_t i = 0; i < a.rows; ++i) {
-      m = std::max(m, std::abs(a(i, j) - b(i, j)));
-    }
-  }
-  return m;
-}
-
 double frobenius_norm(ConstMatrixView a) {
   double s = 0.0;
   for (index_t j = 0; j < a.cols; ++j) {
@@ -50,16 +74,6 @@ double frobenius_norm(ConstMatrixView a) {
     }
   }
   return std::sqrt(s);
-}
-
-double max_abs(ConstMatrixView a) {
-  double m = 0.0;
-  for (index_t j = 0; j < a.cols; ++j) {
-    for (index_t i = 0; i < a.rows; ++i) {
-      m = std::max(m, std::abs(a(i, j)));
-    }
-  }
-  return m;
 }
 
 Matrix transposed(ConstMatrixView a) {

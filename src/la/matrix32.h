@@ -1,117 +1,14 @@
-// FP32 companion of la/matrix.h: column-major float container and views.
-//
-// The mixed-precision engine (EvdOptions mode kMixedPrecision) runs the
-// O(n^3) stages — band reduction, bulge chasing, back transformation — on
-// these types and converts at the boundaries; everything else in the
-// library stays FP64. The float stack deliberately mirrors the FP64 one
-// struct-for-struct so the kernels are line-by-line ports, not a second
-// algorithm.
+// FP32 spellings of the dense containers (la/matrix.h) for callers that
+// name them.
 #pragma once
 
-#include <vector>
-
-#include "common/check.h"
 #include "la/matrix.h"
-#include "la/workspace.h"
 
 namespace tdg {
 
-/// Non-owning read-only view of a column-major float matrix block.
-struct ConstMatrixViewF {
-  const float* data = nullptr;
-  index_t rows = 0;
-  index_t cols = 0;
-  index_t ld = 0;
-
-  const float& operator()(index_t i, index_t j) const {
-    return data[i + static_cast<std::size_t>(j) * ld];
-  }
-  const float* col(index_t j) const {
-    return data + static_cast<std::size_t>(j) * ld;
-  }
-  ConstMatrixViewF block(index_t i, index_t j, index_t m, index_t n) const {
-    TDG_CHECK(i >= 0 && j >= 0 && m >= 0 && n >= 0 && i + m <= rows &&
-                  j + n <= cols,
-              "block out of range");
-    return {data + i + static_cast<std::size_t>(j) * ld, m, n, ld};
-  }
-};
-
-/// Non-owning mutable view of a column-major float matrix block.
-struct MatrixViewF {
-  float* data = nullptr;
-  index_t rows = 0;
-  index_t cols = 0;
-  index_t ld = 0;
-
-  float& operator()(index_t i, index_t j) const {
-    return data[i + static_cast<std::size_t>(j) * ld];
-  }
-  float* col(index_t j) const {
-    return data + static_cast<std::size_t>(j) * ld;
-  }
-  MatrixViewF block(index_t i, index_t j, index_t m, index_t n) const {
-    TDG_CHECK(i >= 0 && j >= 0 && m >= 0 && n >= 0 && i + m <= rows &&
-                  j + n <= cols,
-              "block out of range");
-    return {data + i + static_cast<std::size_t>(j) * ld, m, n, ld};
-  }
-
-  operator ConstMatrixViewF() const { return {data, rows, cols, ld}; }  // NOLINT
-};
-
-/// Owning column-major dense float matrix (workspace-tracked like Matrix).
-class MatrixF {
- public:
-  MatrixF() = default;
-
-  MatrixF(index_t m, index_t n)
-      : m_(m), n_(n), d_(static_cast<std::size_t>(m) * n, 0.0f) {
-    TDG_CHECK(m >= 0 && n >= 0, "matrix dimensions must be non-negative");
-  }
-
-  index_t rows() const { return m_; }
-  index_t cols() const { return n_; }
-  index_t ld() const { return m_; }
-
-  float& operator()(index_t i, index_t j) {
-    return d_[i + static_cast<std::size_t>(j) * m_];
-  }
-  const float& operator()(index_t i, index_t j) const {
-    return d_[i + static_cast<std::size_t>(j) * m_];
-  }
-
-  float* data() { return d_.data(); }
-  const float* data() const { return d_.data(); }
-
-  MatrixViewF view() { return {d_.data(), m_, n_, m_}; }
-  ConstMatrixViewF view() const { return {d_.data(), m_, n_, m_}; }
-  MatrixViewF block(index_t i, index_t j, index_t m, index_t n) {
-    return view().block(i, j, m, n);
-  }
-  ConstMatrixViewF block(index_t i, index_t j, index_t m, index_t n) const {
-    return view().block(i, j, m, n);
-  }
-
- private:
-  index_t m_ = 0;
-  index_t n_ = 0;
-  std::vector<float, la::TrackingAlloc<float>> d_;
-};
-
-/// Copy src into dst (dimensions must match).
-void copy(ConstMatrixViewF src, MatrixViewF dst);
+using MatrixF = MatrixT<float>;
 
 /// Round-to-nearest demotion of a full FP64 matrix.
-MatrixF to_fp32(ConstMatrixView a);
-
-/// Exact promotion back to FP64.
-Matrix to_fp64(ConstMatrixViewF a);
-
-/// Demote only into an existing float view (dimensions must match).
-void demote(ConstMatrixView src, MatrixViewF dst);
-
-/// Promote only into an existing double view (dimensions must match).
-void promote(ConstMatrixViewF src, MatrixView dst);
+inline constexpr auto& to_fp32 = converted<float, double>;
 
 }  // namespace tdg

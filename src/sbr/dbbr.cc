@@ -47,16 +47,43 @@
 
 namespace tdg::sbr {
 
-namespace {
+namespace detail {
 
-void trailing_syr2k(const BandReductionOptions& opts, ConstMatrixView v,
-                    ConstMatrixView w, MatrixView atail) {
-  if (opts.use_square_syr2k) {
-    la::syr2k_lower_square(-1.0, v, w, 1.0, atail, opts.syr2k_block);
-  } else {
-    la::syr2k_lower(-1.0, v, w, 1.0, atail);
+template <class T>
+MatrixT<T> zy_w_from_av(InView<T> p, InView<T> v, InView<T> t) {
+  const index_t m = p.rows;
+  const index_t w = p.cols;
+  MatrixT<T> x(m, w);
+  la::gemm<T>(Trans::kNo, Trans::kNo, 1, p, t, 0, x.view());  // X = P T
+  MatrixT<T> mm(w, w);
+  la::gemm<T>(Trans::kTrans, Trans::kNo, 1, v, x.view(), 0, mm.view());
+  MatrixT<T> s(w, w);
+  la::gemm<T>(Trans::kTrans, Trans::kNo, 1, t, mm.view(), 0, s.view());
+  la::gemm<T>(Trans::kNo, Trans::kNo, -0.5, v, s.view(), 1, x.view());
+  return x;
+}
+
+template <class T>
+void zero_below_r(MatrixViewT<T> a, index_t j0, index_t b, index_t w) {
+  const index_t n = a.rows;
+  for (index_t c = 0; c < w; ++c) {
+    for (index_t r = j0 + b + c + 1; r < n; ++r) a(r, j0 + c) = 0;
   }
 }
+
+template <class T>
+void trailing_syr2k(const BandReductionOptions& opts, InView<T> v,
+                    InView<T> w, MatrixViewT<T> atail) {
+  if (opts.use_square_syr2k) {
+    la::syr2k_lower_square<T>(-1, v, w, 1, atail, opts.syr2k_block);
+  } else {
+    la::syr2k_lower<T>(-1, v, w, 1, atail);
+  }
+}
+
+}  // namespace detail
+
+namespace {
 
 /// One width-w panel at column j of the current outer block: JIT refresh
 /// with the block's accumulated (Y, Z), panel QR (skipped when `pre` hands
@@ -68,9 +95,10 @@ void trailing_syr2k(const BandReductionOptions& opts, ConstMatrixView v,
 /// With keep_all == false only the newest panel is retained (the partial
 /// -panel fixups read f.panels.back() only), so a values-only reduction
 /// holds one O(n*b) panel at a time instead of the O(n^2/2) full set.
-index_t panel_step(MatrixView a, index_t b, index_t j, index_t cols,
-                   Matrix& y, Matrix& z, BandFactor& f,
-                   lapack::WyFactor* pre, bool keep_all) {
+template <class T>
+index_t panel_step(MatrixViewT<T> a, index_t b, index_t j, index_t cols,
+                   MatrixT<T>& y, MatrixT<T>& z, BandFactorT<T>& f,
+                   lapack::WyFactorT<T>* pre, bool keep_all) {
   const index_t n = a.rows;
   const index_t m = n - j - b;       // rows of the below-band panel
   const index_t w = std::min(b, m);  // panel width
@@ -82,14 +110,14 @@ index_t panel_step(MatrixView a, index_t b, index_t j, index_t cols,
   if (cols > 0) {
     // JIT refresh of this panel's column block (rows j..n-1): apply all
     // updates accumulated in this outer block. Paper Algorithm 1, l.8-12.
-    MatrixView blk = a.block(j, j, n - j, w);
-    la::gemm(Trans::kNo, Trans::kTrans, -1.0, y.block(j, 0, n - j, cols),
-             z.block(j, 0, w, cols), 1.0, blk);
-    la::gemm(Trans::kNo, Trans::kTrans, -1.0, z.block(j, 0, n - j, cols),
-             y.block(j, 0, w, cols), 1.0, blk);
+    MatrixViewT<T> blk = a.block(j, j, n - j, w);
+    la::gemm<T>(Trans::kNo, Trans::kTrans, -1, y.block(j, 0, n - j, cols),
+                z.block(j, 0, w, cols), 1, blk);
+    la::gemm<T>(Trans::kNo, Trans::kTrans, -1, z.block(j, 0, n - j, cols),
+                y.block(j, 0, w, cols), 1, blk);
   }
 
-  lapack::WyFactor wy;
+  lapack::WyFactorT<T> wy;
   if (pre != nullptr) {
     wy = std::move(*pre);  // QR + zero_below_r already ran in the QR node
   } else {
@@ -98,22 +126,22 @@ index_t panel_step(MatrixView a, index_t b, index_t j, index_t cols,
   }
 
   // P = A_cur V = A_stale V - Y (Z^T V) - Z (Y^T V)  (rows j+b..n-1).
-  Matrix p(m, w);
-  la::symm_lower(1.0, a.block(j + b, j + b, m, m), wy.v.view(), 0.0,
-                 p.view());
+  MatrixT<T> p(m, w);
+  la::symm_lower<T>(1, a.block(j + b, j + b, m, m), wy.v.view(), 0, p.view());
   if (cols > 0) {
-    Matrix zv(cols, w);
-    la::gemm(Trans::kTrans, Trans::kNo, 1.0, z.block(j + b, 0, m, cols),
-             wy.v.view(), 0.0, zv.view());
-    la::gemm(Trans::kNo, Trans::kNo, -1.0, y.block(j + b, 0, m, cols),
-             zv.view(), 1.0, p.view());
-    Matrix yv(cols, w);
-    la::gemm(Trans::kTrans, Trans::kNo, 1.0, y.block(j + b, 0, m, cols),
-             wy.v.view(), 0.0, yv.view());
-    la::gemm(Trans::kNo, Trans::kNo, -1.0, z.block(j + b, 0, m, cols),
-             yv.view(), 1.0, p.view());
+    MatrixT<T> zv(cols, w);
+    la::gemm<T>(Trans::kTrans, Trans::kNo, 1, z.block(j + b, 0, m, cols),
+                wy.v.view(), 0, zv.view());
+    la::gemm<T>(Trans::kNo, Trans::kNo, -1, y.block(j + b, 0, m, cols),
+                zv.view(), 1, p.view());
+    MatrixT<T> yv(cols, w);
+    la::gemm<T>(Trans::kTrans, Trans::kNo, 1, y.block(j + b, 0, m, cols),
+                wy.v.view(), 0, yv.view());
+    la::gemm<T>(Trans::kNo, Trans::kNo, -1, z.block(j + b, 0, m, cols),
+                yv.view(), 1, p.view());
   }
-  Matrix wmat = detail::zy_w_from_av(p.view(), wy.v.view(), wy.t.view());
+  MatrixT<T> wmat =
+      detail::zy_w_from_av<T>(p.view(), wy.v.view(), wy.t.view());
 
   copy(wy.v.view(), y.block(j + b, cols, m, w));
   copy(wmat.view(), z.block(j + b, cols, m, w));
@@ -156,8 +184,10 @@ std::vector<StepGeom> dbbr_geometry(index_t n, index_t b, index_t k,
 
 /// The look-ahead DAG schedule. Same arithmetic as the barrier loop below,
 /// re-expressed as a task graph; see the file header for the node layout.
-void dbbr_graph(MatrixView a, const BandReductionOptions& opts, Matrix& y,
-                Matrix& z, BandFactor& f, obs::Span& dbbr_span) {
+template <class T>
+void dbbr_graph(MatrixViewT<T> a, const BandReductionOptions& opts,
+                MatrixT<T>& y, MatrixT<T>& z, BandFactorT<T>& f,
+                obs::Span& dbbr_span) {
   const index_t n = a.rows;
   const index_t b = opts.b;
   const index_t k = opts.k;
@@ -173,7 +203,7 @@ void dbbr_graph(MatrixView a, const BandReductionOptions& opts, Matrix& y,
   // Look-ahead QR results, one slot per step, written by QR_s and consumed
   // by PC_s (ordered by the qr -> pc edge). Preallocated so no container
   // mutates while pool workers hold references.
-  std::vector<lapack::WyFactor> pre(ns);
+  std::vector<lapack::WyFactorT<T>> pre(ns);
   std::vector<char> pre_ok(ns, 0);
 
   // tile ids of the previous step, grouped by tile-column bj (so the QR
@@ -233,7 +263,7 @@ void dbbr_graph(MatrixView a, const BandReductionOptions& opts, Matrix& y,
           z.set_zero();
           index_t cols = 0;
           for (index_t j = cur.i; j < cur.i + k && n - j - b >= 1; j += b) {
-            lapack::WyFactor* p =
+            lapack::WyFactorT<T>* p =
                 (j == cur.i && pre_ok[s]) ? &pre[s] : nullptr;
             cols = panel_step(a, b, j, cols, y, z, f, p, keep_all);
           }
@@ -253,9 +283,9 @@ void dbbr_graph(MatrixView a, const BandReductionOptions& opts, Matrix& y,
             [&a, &steps, &y, &z, s, bi, bj, n] {
               const StepGeom& cur = steps[s];
               const index_t nt = n - cur.t0;
-              la::detail::syr2k_square_tile(
-                  -1.0, y.block(cur.t0, 0, nt, cur.cols),
-                  z.block(cur.t0, 0, nt, cur.cols), 1.0,
+              la::detail::syr2k_square_tile<T>(
+                  -1, y.block(cur.t0, 0, nt, cur.cols),
+                  z.block(cur.t0, 0, nt, cur.cols), 1,
                   a.block(cur.t0, cur.t0, nt, nt), cur.blk, bi, bj);
             },
             {pc}));
@@ -275,10 +305,10 @@ void dbbr_graph(MatrixView a, const BandReductionOptions& opts, Matrix& y,
     g.add(
         "dbbr.fixup", NodeClass::kDriver,
         [&a, &f, b] {
-          const Panel& last = f.panels.back();
+          const PanelT<T>& last = f.panels.back();
           const index_t lw = last.v.cols();
           const index_t lj = last.row0 - b;
-          lapack::apply_block_reflector_left(
+          lapack::apply_block_reflector_left<T>(
               last.v.view(), last.t.view(), Trans::kTrans,
               a.block(last.row0, lj + lw, last.v.rows(), b - lw));
         },
@@ -292,7 +322,8 @@ void dbbr_graph(MatrixView a, const BandReductionOptions& opts, Matrix& y,
 
 }  // namespace
 
-BandFactor dbbr(MatrixView a, const BandReductionOptions& opts) {
+template <class T>
+BandFactorT<T> dbbr(MatrixViewT<T> a, const BandReductionOptions& opts) {
   const index_t n = a.rows;
   const index_t b = opts.b;
   const index_t k = opts.k;
@@ -308,12 +339,12 @@ BandFactor dbbr(MatrixView a, const BandReductionOptions& opts) {
   dbbr_span.attr("b", b);
   dbbr_span.attr("k", k);
 
-  BandFactor f;
+  BandFactorT<T> f;
   f.n = n;
   f.b = b;
 
-  Matrix y(n, k);  // accumulated V panels (global row indexing)
-  Matrix z(n, k);  // accumulated W panels
+  MatrixT<T> y(n, k);  // accumulated V panels (global row indexing)
+  MatrixT<T> z(n, k);  // accumulated W panels
 
   // DAG schedule: bitwise-identical to the barrier loop below (same tile
   // grid, same kernels, same inputs). Falls back under an active op trace —
@@ -335,7 +366,8 @@ BandFactor dbbr(MatrixView a, const BandReductionOptions& opts) {
     index_t t0 = i;    // start of the stale trailing region
 
     for (index_t j = i; j < i + k && n - j - b >= 1; j += b) {
-      cols = panel_step(a, b, j, cols, y, z, f, nullptr, opts.want_factors);
+      cols = panel_step<T>(a, b, j, cols, y, z, f, nullptr,
+                           opts.want_factors);
       t0 = j + std::min(b, n - j - b);  // columns < t0 final; >= t0 stale
     }
 
@@ -344,19 +376,19 @@ BandFactor dbbr(MatrixView a, const BandReductionOptions& opts) {
       obs::Span syr2k_span("dbbr.syr2k");
       syr2k_span.attr("rows", n - t0);
       syr2k_span.attr("inner", cols);
-      trailing_syr2k(opts, y.block(t0, 0, n - t0, cols),
-                     z.block(t0, 0, n - t0, cols),
-                     a.block(t0, t0, n - t0, n - t0));
+      detail::trailing_syr2k<T>(opts, y.block(t0, 0, n - t0, cols),
+                                z.block(t0, 0, n - t0, cols),
+                                a.block(t0, t0, n - t0, n - t0));
     }
     if (!f.panels.empty()) {
       // Final partial panel of the block (w < b): columns [j+w, j+b) stay
       // inside the band but their below-diagonal rows still receive the last
       // panel's Q^T from the left. (For full panels w == b this is empty.)
-      const Panel& last = f.panels.back();
+      const PanelT<T>& last = f.panels.back();
       const index_t lw = last.v.cols();
       const index_t lj = last.row0 - b;
       if (lw < b && lj >= i) {
-        lapack::apply_block_reflector_left(
+        lapack::apply_block_reflector_left<T>(
             last.v.view(), last.t.view(), Trans::kTrans,
             a.block(last.row0, lj + lw, last.v.rows(), b - lw));
       }
@@ -366,5 +398,17 @@ BandFactor dbbr(MatrixView a, const BandReductionOptions& opts) {
   if (!opts.want_factors) f.panels.clear();
   return f;
 }
+
+#define TDG_INSTANTIATE(T)                                                   \
+  template MatrixT<T> detail::zy_w_from_av<T>(                                \
+      ConstMatrixViewT<T>, ConstMatrixViewT<T>, ConstMatrixViewT<T>);         \
+  template void detail::zero_below_r<T>(MatrixViewT<T>, index_t, index_t,     \
+                                        index_t);                             \
+  template void detail::trailing_syr2k<T>(                                    \
+      const BandReductionOptions&, ConstMatrixViewT<T>, ConstMatrixViewT<T>,  \
+      MatrixViewT<T>);                                                        \
+  template BandFactorT<T> dbbr<T>(MatrixViewT<T>, const BandReductionOptions&);
+TDG_INSTANTIATE(double)
+TDG_INSTANTIATE(float)
 
 }  // namespace tdg::sbr

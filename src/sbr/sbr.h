@@ -17,7 +17,8 @@
 //              cheapen the subsequent bulge chasing.
 //
 // Both return the reflector panels needed for the stage-1 back
-// transformation (src/backtransform).
+// transformation (src/backtransform). dbbr is templated on the scalar T
+// (double and float, la/matrix.h); sy2sb is FP64.
 #pragma once
 
 #include <vector>
@@ -28,19 +29,23 @@ namespace tdg::sbr {
 
 /// One compact-WY panel of the band reduction: Q_p = I - V T V^T acting on
 /// global rows [row0, row0 + v.rows).
-struct Panel {
+template <class T>
+struct PanelT {
   index_t row0 = 0;
-  Matrix v;  // m x w explicit unit-lower-trapezoidal reflectors
-  Matrix t;  // w x w upper-triangular block factor
+  MatrixT<T> v;  // m x w explicit unit-lower-trapezoidal reflectors
+  MatrixT<T> t;  // w x w upper-triangular block factor
 };
+using Panel = PanelT<double>;
 
 /// Reflector set of a completed band reduction: A = Q1 * B * Q1^T with
 /// Q1 = Q_panel0 * Q_panel1 * ... (in factorisation order).
-struct BandFactor {
+template <class T>
+struct BandFactorT {
   index_t n = 0;
   index_t b = 0;
-  std::vector<Panel> panels;
+  std::vector<PanelT<T>> panels;
 };
+using BandFactor = BandFactorT<double>;
 
 struct BandReductionOptions {
   index_t b = 32;  // target bandwidth
@@ -81,6 +86,7 @@ BandFactor sy2sb(MatrixView a, index_t b,
 
 /// Double-blocking band reduction (paper Algorithm 1). Same contract as
 /// sy2sb; `opts.k` controls the outer block size.
-BandFactor dbbr(MatrixView a, const BandReductionOptions& opts);
+template <class T>
+BandFactorT<T> dbbr(MatrixViewT<T> a, const BandReductionOptions& opts);
 
 }  // namespace tdg::sbr

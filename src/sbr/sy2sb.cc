@@ -28,40 +28,7 @@
 
 namespace tdg::sbr {
 
-namespace detail {
-
-Matrix zy_w_from_av(ConstMatrixView p, ConstMatrixView v, ConstMatrixView t) {
-  const index_t m = p.rows;
-  const index_t w = p.cols;
-  Matrix x(m, w);
-  la::gemm(Trans::kNo, Trans::kNo, 1.0, p, t, 0.0, x.view());  // X = P T
-  Matrix mm(w, w);
-  la::gemm(Trans::kTrans, Trans::kNo, 1.0, v, x.view(), 0.0, mm.view());
-  Matrix s(w, w);
-  la::gemm(Trans::kTrans, Trans::kNo, 1.0, t, mm.view(), 0.0, s.view());
-  la::gemm(Trans::kNo, Trans::kNo, -0.5, v, s.view(), 1.0, x.view());
-  return x;
-}
-
-void zero_below_r(MatrixView a, index_t j0, index_t b, index_t w) {
-  const index_t n = a.rows;
-  for (index_t c = 0; c < w; ++c) {
-    for (index_t r = j0 + b + c + 1; r < n; ++r) a(r, j0 + c) = 0.0;
-  }
-}
-
-}  // namespace detail
-
 namespace {
-
-void trailing_syr2k(const BandReductionOptions& opts, ConstMatrixView v,
-                    ConstMatrixView w, MatrixView atail) {
-  if (opts.use_square_syr2k) {
-    la::syr2k_lower_square(-1.0, v, w, 1.0, atail, opts.syr2k_block);
-  } else {
-    la::syr2k_lower(-1.0, v, w, 1.0, atail);
-  }
-}
 
 /// Static geometry of one sy2sb panel step.
 struct StepGeom {
@@ -251,7 +218,7 @@ BandFactor sy2sb(MatrixView a, index_t b, const BandReductionOptions& opts) {
     Matrix p(m, w);
     la::symm_lower(1.0, atail, wy.v.view(), 0.0, p.view());
     Matrix z = detail::zy_w_from_av(p.view(), wy.v.view(), wy.t.view());
-    trailing_syr2k(opts, wy.v.view(), z.view(), atail);
+    detail::trailing_syr2k(opts, wy.v.view(), z.view(), atail);
 
     if (w < b) {
       // Final partial panel: columns [j+w, j+b) stay inside the band but

@@ -111,21 +111,25 @@ INSTANTIATE_TEST_SUITE_P(
 class ChaseParallelTest
     : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};
 
-TEST_P(ChaseParallelTest, BitwiseEqualToSequential) {
-  const auto [n, b, threads, cap] = GetParam();
+// The packed chase runs at double and at float; both must hold the
+// bitwise contract.
+template <class T>
+void chase_parallel_matches_sequential(index_t n, index_t b, int threads,
+                                       index_t cap) {
+  SCOPED_TRACE(sizeof(T) == sizeof(double) ? "double" : "float");
   Rng rng(700 + n + b + threads);
-  const Matrix a0 = random_symmetric_band(n, b, rng);
+  const MatrixT<T> a0 = converted<T>(random_symmetric_band(n, b, rng).view());
   const index_t kd = std::min<index_t>(2 * b, n - 1);
 
-  SymBandMatrix seq = extract_band(a0.view(), b, kd);
-  bc::ChaseLog seqlog;
+  SymBandMatrixT<T> seq = extract_band<T>(a0.view(), b, kd);
+  bc::ChaseLogT<T> seqlog;
   bc::chase_packed(seq, b, &seqlog);
 
-  SymBandMatrix par = extract_band(a0.view(), b, kd);
+  SymBandMatrixT<T> par = extract_band<T>(a0.view(), b, kd);
   bc::ParallelChaseOptions opts;
   opts.threads = threads;
   opts.max_parallel_sweeps = cap;
-  bc::ChaseLog parlog;
+  bc::ChaseLogT<T> parlog;
   bc::chase_packed_parallel(par, b, opts, &parlog);
 
   // The dependency protocol linearises all conflicting block steps into the
@@ -144,6 +148,12 @@ TEST_P(ChaseParallelTest, BitwiseEqualToSequential) {
     ASSERT_EQ(seqlog.sweeps[s].steps.size(), parlog.sweeps[s].steps.size());
     EXPECT_EQ(seqlog.sweeps[s].vpool, parlog.sweeps[s].vpool);
   }
+}
+
+TEST_P(ChaseParallelTest, BitwiseEqualToSequential) {
+  const auto [n, b, threads, cap] = GetParam();
+  chase_parallel_matches_sequential<double>(n, b, threads, cap);
+  chase_parallel_matches_sequential<float>(n, b, threads, cap);
 }
 
 INSTANTIATE_TEST_SUITE_P(

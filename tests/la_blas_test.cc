@@ -1,6 +1,7 @@
 // Unit tests for the dense BLAS substrate (src/la).
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,8 +16,10 @@
 namespace tdg {
 namespace {
 
-Matrix naive_gemm(Trans ta, Trans tb, double alpha, ConstMatrixView a,
-                  ConstMatrixView b, double beta, ConstMatrixView c0) {
+// FP64 reference, also for float operands (widened exactly).
+template <class T>
+Matrix naive_gemm(Trans ta, Trans tb, double alpha, InView<T> a, InView<T> b,
+                  double beta, InView<T> c0) {
   const index_t m = (ta == Trans::kNo) ? a.rows : a.cols;
   const index_t k = (ta == Trans::kNo) ? a.cols : a.rows;
   const index_t n = (tb == Trans::kNo) ? b.cols : b.rows;
@@ -33,6 +36,19 @@ Matrix naive_gemm(Trans ta, Trans tb, double alpha, ConstMatrixView a,
     }
   }
   return c;
+}
+
+// The kernels run at double and at float. An accuracy bound is written for
+// FP64; at float the same number of machine epsilons applies.
+template <class T>
+double tol(double fp64_bound) {
+  return fp64_bound / std::numeric_limits<double>::epsilon() *
+         std::numeric_limits<T>::epsilon();
+}
+
+template <class T>
+const char* scalar_name() {
+  return sizeof(T) == sizeof(double) ? "double" : "float";
 }
 
 TEST(Blas1, DotAxpyScalNrm2) {
@@ -123,23 +139,34 @@ TEST(Blas2, Syr2LowerMatchesDense) {
 class GemmShapeTest
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
-TEST_P(GemmShapeTest, AllTransposeCombosMatchNaive) {
-  const auto [m, n, k] = GetParam();
+template <class T>
+void gemm_matches_naive(int m, int n, int k) {
+  SCOPED_TRACE(scalar_name<T>());
   Rng rng(17 + m + 31 * n + 101 * k);
   for (const Trans ta : {Trans::kNo, Trans::kTrans}) {
     for (const Trans tb : {Trans::kNo, Trans::kTrans}) {
-      const Matrix a = (ta == Trans::kNo) ? random_matrix(m, k, rng)
-                                          : random_matrix(k, m, rng);
-      const Matrix b = (tb == Trans::kNo) ? random_matrix(k, n, rng)
-                                          : random_matrix(n, k, rng);
-      Matrix c = random_matrix(m, n, rng);
+      const MatrixT<T> a = converted<T>(
+          ((ta == Trans::kNo) ? random_matrix(m, k, rng)
+                              : random_matrix(k, m, rng)).view());
+      const MatrixT<T> b = converted<T>(
+          ((tb == Trans::kNo) ? random_matrix(k, n, rng)
+                              : random_matrix(n, k, rng)).view());
+      MatrixT<T> c = converted<T>(random_matrix(m, n, rng).view());
       const Matrix ref =
-          naive_gemm(ta, tb, 1.7, a.view(), b.view(), -0.3, c.view());
+          naive_gemm<T>(ta, tb, 1.7, a.view(), b.view(), -0.3, c.view());
       la::gemm(ta, tb, 1.7, a.view(), b.view(), -0.3, c.view());
-      EXPECT_LT(max_abs_diff(c.view(), ref.view()), 1e-10)
+      EXPECT_LT(max_abs_diff(converted<double, T>(c.view()).view(),
+                             ref.view()),
+                tol<T>(1e-10))
           << "ta=" << (ta == Trans::kTrans) << " tb=" << (tb == Trans::kTrans);
     }
   }
+}
+
+TEST_P(GemmShapeTest, AllTransposeCombosMatchNaive) {
+  const auto [m, n, k] = GetParam();
+  gemm_matches_naive<double>(m, n, k);
+  gemm_matches_naive<float>(m, n, k);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, GemmShapeTest,
@@ -163,30 +190,35 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GemmShapeTest,
 // since the block schedule is thread-count invariant.
 class GemmBetaThreadsTest : public ::testing::TestWithParam<double> {};
 
-TEST_P(GemmBetaThreadsTest, PackedMatchesNaiveAndIsThreadInvariant) {
-  const double beta = GetParam();
-  const index_t m = 130, n = 75, k = 280;  // crosses kMC and kKC
+template <class T>
+void gemm_beta_threads(double beta, index_t k) {
+  SCOPED_TRACE(scalar_name<T>());
+  const index_t m = 130, n = 75;
   Rng rng(91 + static_cast<int>(10 * beta));
   for (const Trans ta : {Trans::kNo, Trans::kTrans}) {
     for (const Trans tb : {Trans::kNo, Trans::kTrans}) {
-      const Matrix a = (ta == Trans::kNo) ? random_matrix(m, k, rng)
-                                          : random_matrix(k, m, rng);
-      const Matrix b = (tb == Trans::kNo) ? random_matrix(k, n, rng)
-                                          : random_matrix(n, k, rng);
-      const Matrix c0 = random_matrix(m, n, rng);
-      const Matrix ref = naive_gemm(ta, tb, 1.3, a.view(), b.view(), beta,
-                                    c0.view());
-      Matrix c1 = c0;
+      const MatrixT<T> a = converted<T>(
+          ((ta == Trans::kNo) ? random_matrix(m, k, rng)
+                              : random_matrix(k, m, rng)).view());
+      const MatrixT<T> b = converted<T>(
+          ((tb == Trans::kNo) ? random_matrix(k, n, rng)
+                              : random_matrix(n, k, rng)).view());
+      const MatrixT<T> c0 = converted<T>(random_matrix(m, n, rng).view());
+      const Matrix ref = naive_gemm<T>(ta, tb, 1.3, a.view(), b.view(), beta,
+                                       c0.view());
+      MatrixT<T> c1 = c0;
       {
         ThreadLimit serial(1);
         la::gemm(ta, tb, 1.3, a.view(), b.view(), beta, c1.view());
       }
-      Matrix c4 = c0;
+      MatrixT<T> c4 = c0;
       {
         ThreadLimit parallel(4);
         la::gemm(ta, tb, 1.3, a.view(), b.view(), beta, c4.view());
       }
-      EXPECT_LT(max_abs_diff(c1.view(), ref.view()), 1e-10)
+      EXPECT_LT(max_abs_diff(converted<double, T>(c1.view()).view(),
+                             ref.view()),
+                tol<T>(1e-10))
           << "beta=" << beta << " ta=" << (ta == Trans::kTrans)
           << " tb=" << (tb == Trans::kTrans);
       // Bitwise: disjoint output blocks, fixed accumulation order.
@@ -196,6 +228,13 @@ TEST_P(GemmBetaThreadsTest, PackedMatchesNaiveAndIsThreadInvariant) {
               << "thread-count variance at (" << i << "," << j << ")";
     }
   }
+}
+
+TEST_P(GemmBetaThreadsTest, PackedMatchesNaiveAndIsThreadInvariant) {
+  // Inner dimensions crossing the K cache block of each scalar (256 doubles,
+  // 512 floats) as well as kMC.
+  gemm_beta_threads<double>(GetParam(), 280);
+  gemm_beta_threads<float>(GetParam(), 540);
 }
 
 INSTANTIATE_TEST_SUITE_P(Betas, GemmBetaThreadsTest,
@@ -234,21 +273,28 @@ TEST(Syr2k, ReferenceMatchesDenseFormula) {
 class Syr2kSquareTest
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
-TEST_P(Syr2kSquareTest, MatchesReference) {
-  const auto [n, k, block] = GetParam();
+template <class T>
+void syr2k_square_matches_reference(int n, int k, int block) {
+  SCOPED_TRACE(scalar_name<T>());
   Rng rng(7 + n + k);
-  const Matrix a = random_matrix(n, k, rng);
-  const Matrix b = random_matrix(n, k, rng);
-  Matrix c1 = random_symmetric(n, rng);
-  Matrix c2 = c1;
+  const MatrixT<T> a = converted<T>(random_matrix(n, k, rng).view());
+  const MatrixT<T> b = converted<T>(random_matrix(n, k, rng).view());
+  MatrixT<T> c1 = converted<T>(random_symmetric(n, rng).view());
+  MatrixT<T> c2 = c1;
 
   la::syr2k_lower(-1.0, a.view(), b.view(), 1.0, c1.view());
   la::syr2k_lower_square(-1.0, a.view(), b.view(), 1.0, c2.view(), block);
   double maxd = 0.0;
   for (index_t j = 0; j < n; ++j)
     for (index_t i = j; i < n; ++i)
-      maxd = std::max(maxd, std::abs(c1(i, j) - c2(i, j)));
-  EXPECT_LT(maxd, 1e-10);
+      maxd = std::max<double>(maxd, std::abs(c1(i, j) - c2(i, j)));
+  EXPECT_LT(maxd, tol<T>(1e-10));
+}
+
+TEST_P(Syr2kSquareTest, MatchesReference) {
+  const auto [n, k, block] = GetParam();
+  syr2k_square_matches_reference<double>(n, k, block);
+  syr2k_square_matches_reference<float>(n, k, block);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, Syr2kSquareTest,
@@ -286,17 +332,19 @@ TEST(Syr2k, LowerAndSymmAreThreadCountInvariant) {
     for (index_t i = 0; i < n; ++i) ASSERT_EQ(y1(i, j), y4(i, j));
 }
 
-TEST(Syr2kSquare, ParallelMatchesSerialBitwise) {
-  // The Fig.-7 schedule dispatches independent anti-diagonal blocks to the
-  // pool; every block writes a disjoint C tile with a fixed inner order, so
-  // the parallel lower triangle must equal the serial one exactly.
+// The Fig.-7 schedule dispatches independent anti-diagonal blocks to the
+// pool; every block writes a disjoint C tile with a fixed inner order, so
+// the parallel lower triangle must equal the serial one exactly.
+template <class T>
+void syr2k_square_parallel_matches_serial() {
+  SCOPED_TRACE(scalar_name<T>());
   Rng rng(58);
   const index_t n = 200, k = 48, block = 64;
-  const Matrix a = random_matrix(n, k, rng);
-  const Matrix b = random_matrix(n, k, rng);
-  const Matrix c0 = random_symmetric(n, rng);
+  const MatrixT<T> a = converted<T>(random_matrix(n, k, rng).view());
+  const MatrixT<T> b = converted<T>(random_matrix(n, k, rng).view());
+  const MatrixT<T> c0 = converted<T>(random_symmetric(n, rng).view());
 
-  Matrix c1 = c0, c4 = c0;
+  MatrixT<T> c1 = c0, c4 = c0;
   {
     ThreadLimit serial(1);
     la::syr2k_lower_square(-1.0, a.view(), b.view(), 1.0, c1.view(), block);
@@ -308,6 +356,11 @@ TEST(Syr2kSquare, ParallelMatchesSerialBitwise) {
   for (index_t j = 0; j < n; ++j)
     for (index_t i = j; i < n; ++i)
       ASSERT_EQ(c1(i, j), c4(i, j)) << "(" << i << "," << j << ")";
+}
+
+TEST(Syr2kSquare, ParallelMatchesSerialBitwise) {
+  syr2k_square_parallel_matches_serial<double>();
+  syr2k_square_parallel_matches_serial<float>();
 }
 
 TEST(Syr2kSquare, TraceIsThreadCountInvariant) {

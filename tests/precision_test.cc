@@ -31,6 +31,7 @@
 #include <cmath>
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -107,8 +108,14 @@ void expect_mixed_meets_bound(const Matrix& a, const char* what) {
   ASSERT_EQ(res.eigenvectors.cols(), a.rows()) << what;
   // Either the FP32+refine pipeline converged (mode stays mixed) or the
   // driver recovered in full FP64 (mode standard, recovery recorded) —
-  // both must land inside the acceptance bound.
-  if (res.mode == plan::EvdMode::kMixedPrecision) {
+  // both must land inside the acceptance bound. Below n = 3 the FP32 engine
+  // does not run: the result is a plain FP64 solve and must say so.
+  if (a.rows() < 3) {
+    EXPECT_EQ(res.mode, plan::EvdMode::kStandard) << what;
+    EXPECT_TRUE(res.recovery.empty()) << what << ": " << res.recovery;
+    EXPECT_EQ(res.plan_source.find("fp32"), std::string::npos)
+        << what << ": " << res.plan_source;
+  } else if (res.mode == plan::EvdMode::kMixedPrecision) {
     EXPECT_TRUE(res.recovery.empty()) << what << ": " << res.recovery;
     EXPECT_GE(res.refine_iters, 1) << what;
   } else {
@@ -124,6 +131,8 @@ void expect_mixed_meets_bound(const Matrix& a, const char* what) {
 TEST(MixedPrecision, ResidualWithinBoundOnRandomSymmetric) {
   Rng rng(101);
   expect_mixed_meets_bound(random_symmetric(96, rng), "random n=96");
+  expect_mixed_meets_bound(random_symmetric(1, rng), "random n=1");
+  expect_mixed_meets_bound(random_symmetric(2, rng), "random n=2");
 }
 
 TEST(MixedPrecision, ConvergesOnWilkinson) {
@@ -217,6 +226,53 @@ TEST(MixedPrecision, RefineFaultFallsBackToFp64Once) {
     for (index_t i = 0; i < ref.eigenvectors.rows(); ++i) {
       EXPECT_EQ(res.eigenvectors(i, j), ref.eigenvectors(i, j))
           << "(" << i << "," << j << ")";
+    }
+  }
+}
+
+TEST(MixedPrecision, OutOfFp32RangeFallsBackToFp64Once) {
+  // Inputs whose demotion overflows FP32 (to Inf) or underflows it (to
+  // zero or subnormals): the float reduction, including the pipelined
+  // chase's progress gates, runs on non-finite or degenerate bands and
+  // must neither hang nor leak into the result — one fp32->fp64 recovery,
+  // bitwise the standard solve.
+  const index_t n = 96;
+  Rng rng(707);
+  const Matrix base = random_symmetric(n, rng);
+  std::vector<std::pair<std::string, Matrix>> inputs;
+  for (const double scale : {1e40, 1e-40, 1e150, 1e-150}) {
+    Matrix a = base;
+    for (index_t j = 0; j < n; ++j) {
+      for (index_t i = 0; i < n; ++i) a(i, j) *= scale;
+    }
+    inputs.emplace_back("scaled by " + std::to_string(scale), std::move(a));
+  }
+  Matrix spike = base;
+  spike(5, 5) = 1e39;
+  inputs.emplace_back("one 1e39 entry", std::move(spike));
+
+  auto* fallbacks = obs::Registry::global().counter("evd.fp32_fallbacks",
+                                                    obs::Gating::kAlways);
+  eig::EvdOptions mixed;
+  mixed.mode = plan::EvdMode::kMixedPrecision;
+  for (const auto& [what, a] : inputs) {
+    const long long before = fallbacks->value();
+    const eig::EvdResult res = eig::eigh(a.view(), mixed);
+    EXPECT_EQ(fallbacks->value(), before + 1) << what;
+    EXPECT_EQ(res.recovery, "fp32->fp64") << what;
+    EXPECT_EQ(res.mode, plan::EvdMode::kStandard) << what;
+
+    const eig::EvdResult ref = eig::eigh(a.view());
+    ASSERT_EQ(res.eigenvalues.size(), ref.eigenvalues.size()) << what;
+    for (size_t i = 0; i < ref.eigenvalues.size(); ++i) {
+      ASSERT_EQ(res.eigenvalues[i], ref.eigenvalues[i]) << what << " i=" << i;
+    }
+    ASSERT_EQ(res.eigenvectors.cols(), ref.eigenvectors.cols()) << what;
+    for (index_t j = 0; j < n; ++j) {
+      for (index_t i = 0; i < n; ++i) {
+        ASSERT_EQ(res.eigenvectors(i, j), ref.eigenvectors(i, j))
+            << what << " (" << i << "," << j << ")";
+      }
     }
   }
 }

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -181,25 +182,35 @@ TEST(Dbbr, TraceShowsFatSyr2k) {
   EXPECT_EQ(max_inner2, b);
 }
 
-TEST(BackTransform, AllVariantsAgree) {
+template <class T>
+void back_transform_variants_agree() {
+  SCOPED_TRACE(sizeof(T) == sizeof(double) ? "double" : "float");
+  // A bound written for FP64 covers the same number of epsilons at T.
+  const double tol = 1e-10 / std::numeric_limits<double>::epsilon() *
+                     std::numeric_limits<T>::epsilon();
   Rng rng(41);
   const index_t n = 60, b = 4;
-  Matrix a = random_symmetric(n, rng);
+  MatrixT<T> a = converted<T>(random_symmetric(n, rng).view());
   sbr::BandReductionOptions opts;
   opts.b = b;
   opts.k = 16;
-  sbr::BandFactor f = sbr::dbbr(a.view(), opts);
+  sbr::BandFactorT<T> f = sbr::dbbr(a.view(), opts);
 
-  Matrix c0 = random_matrix(n, 7, rng);
-  Matrix c1 = c0, c2 = c0, c3 = c0, c4 = c0;
+  MatrixT<T> c0 = converted<T>(random_matrix(n, 7, rng).view());
+  MatrixT<T> c1 = c0, c2 = c0, c3 = c0, c4 = c0;
   bt::apply_q1_conventional(f, c1.view());
   bt::apply_q1_recursive(f, c2.view());
   bt::apply_q1_blocked(f, 16, c3.view());
   bt::apply_q1_blocked(f, 4, c4.view());  // group == 1 panel
 
-  EXPECT_LT(max_abs_diff(c1.view(), c2.view()), 1e-10);
-  EXPECT_LT(max_abs_diff(c1.view(), c3.view()), 1e-10);
-  EXPECT_LT(max_abs_diff(c1.view(), c4.view()), 1e-10);
+  EXPECT_LT(max_abs_diff<T>(c1.view(), c2.view()), tol);
+  EXPECT_LT(max_abs_diff<T>(c1.view(), c3.view()), tol);
+  EXPECT_LT(max_abs_diff<T>(c1.view(), c4.view()), tol);
+}
+
+TEST(BackTransform, AllVariantsAgree) {
+  back_transform_variants_agree<double>();
+  back_transform_variants_agree<float>();
 }
 
 TEST(BackTransform, MergedWyReproducesExplicitProduct) {
@@ -245,10 +256,12 @@ TEST(SymBand, RejectsBadBandwidth) {
 // schedule — same tile grid, same kernels, same inputs — at every thread
 // count, for both reductions. 0.0 tolerance everywhere: band matrix AND
 // reflector panels.
-TEST(Lookahead, DbbrBitwiseIdenticalToBarrierAcrossThreadCounts) {
+template <class T>
+void dbbr_lookahead_matches_barrier() {
+  SCOPED_TRACE(sizeof(T) == sizeof(double) ? "double" : "float");
   const index_t n = 97;  // partial final panel exercises the fixup node
   Rng rng(777);
-  const Matrix a0 = random_symmetric(n, rng);
+  const MatrixT<T> a0 = converted<T>(random_symmetric(n, rng).view());
 
   sbr::BandReductionOptions base;
   base.b = 8;
@@ -256,8 +269,8 @@ TEST(Lookahead, DbbrBitwiseIdenticalToBarrierAcrossThreadCounts) {
   base.syr2k_block = 16;  // several tiles per trailing update
 
   // Barrier reference, single-threaded.
-  Matrix ref = a0;
-  sbr::BandFactor fref;
+  MatrixT<T> ref = a0;
+  sbr::BandFactorT<T> fref;
   {
     sbr::BandReductionOptions o = base;
     o.threads = 1;
@@ -267,24 +280,31 @@ TEST(Lookahead, DbbrBitwiseIdenticalToBarrierAcrossThreadCounts) {
 
   for (const int threads : {1, 2, 8}) {
     for (const index_t la : {index_t{0}, index_t{1}}) {
-      Matrix a = a0;
+      MatrixT<T> a = a0;
       sbr::BandReductionOptions o = base;
       o.threads = threads;
       o.lookahead = la;
-      const sbr::BandFactor f = sbr::dbbr(a.view(), o);
-      EXPECT_EQ(max_abs_diff(a.view(), ref.view()), 0.0)
+      const sbr::BandFactorT<T> f = sbr::dbbr(a.view(), o);
+      EXPECT_EQ(max_abs_diff<T>(a.view(), ref.view()), 0.0)
           << "threads=" << threads << " lookahead=" << la;
       ASSERT_EQ(f.panels.size(), fref.panels.size());
       for (size_t p = 0; p < f.panels.size(); ++p) {
         EXPECT_EQ(f.panels[p].row0, fref.panels[p].row0);
-        EXPECT_EQ(max_abs_diff(f.panels[p].v.view(), fref.panels[p].v.view()),
-                  0.0)
+        EXPECT_EQ(
+            max_abs_diff<T>(f.panels[p].v.view(), fref.panels[p].v.view()),
+            0.0)
             << "panel " << p << " threads=" << threads << " la=" << la;
-        EXPECT_EQ(max_abs_diff(f.panels[p].t.view(), fref.panels[p].t.view()),
-                  0.0);
+        EXPECT_EQ(
+            max_abs_diff<T>(f.panels[p].t.view(), fref.panels[p].t.view()),
+            0.0);
       }
     }
   }
+}
+
+TEST(Lookahead, DbbrBitwiseIdenticalToBarrierAcrossThreadCounts) {
+  dbbr_lookahead_matches_barrier<double>();
+  dbbr_lookahead_matches_barrier<float>();
 }
 
 TEST(Lookahead, Sy2sbBitwiseIdenticalToBarrierAcrossThreadCounts) {
