@@ -7,6 +7,9 @@
 // instantiated for double and float (la/matrix.h); the rest are FP64.
 #pragma once
 
+#include <cstddef>
+#include <vector>
+
 #include "la/matrix.h"
 
 namespace tdg {
@@ -101,6 +104,25 @@ void gemm_notrace(Trans ta, Trans tb, Scalar<T> alpha, InView<T> a,
 template <class T>
 void syr2k_lower_notrace(Scalar<T> alpha, InView<T> a, InView<T> b,
                          Scalar<T> beta, MatrixViewT<T> c);
+
+/// One compiled variant of the packed-GEMM micro-kernel (la/blas3.cc).
+struct GemmVariant {
+  const char* isa;  ///< "baseline" (portable), "avx2" or "avx512f"
+  bool supported;   ///< the running CPU can execute it
+};
+
+/// Every compiled micro-kernel variant, the portable baseline first. gemm
+/// always runs the widest supported one, picked once per process; this
+/// table lets tests run each variant against the baseline (they must agree
+/// bitwise) and lets measurements time the portable path. Not a knob.
+std::vector<GemmVariant> gemm_variants();
+
+/// gemm_notrace on variant `variant` (an index into gemm_variants(); it
+/// must be supported) instead of the process-wide pick.
+template <class T>
+void gemm_variant_notrace(std::size_t variant, Trans ta, Trans tb,
+                          Scalar<T> alpha, InView<T> a, InView<T> b,
+                          Scalar<T> beta, MatrixViewT<T> c);
 
 /// One tile (bi, bj), bi >= bj, of the square-block syr2k schedule over the
 /// full lower-triangle update C += alpha (A B^T + B A^T): the diagonal tile

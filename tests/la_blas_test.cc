@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -240,14 +241,151 @@ TEST_P(GemmBetaThreadsTest, PackedMatchesNaiveAndIsThreadInvariant) {
 INSTANTIATE_TEST_SUITE_P(Betas, GemmBetaThreadsTest,
                          ::testing::Values(0.0, 1.0, 0.5));
 
+// BLAS rule: beta == 0 overwrites C, so NaN/Inf already in C must not
+// survive — also on the k == 0 and alpha == 0 early-outs and in syr2k.
 TEST(Gemm, BetaZeroOverwritesNanFreeAndKZeroScales) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   Matrix a(4, 0), b(0, 5);
   Matrix c(4, 5);
   fill(c.view(), 2.0);
   la::gemm(Trans::kNo, Trans::kNo, 1.0, a.view(), b.view(), 0.5, c.view());
   EXPECT_DOUBLE_EQ(c(2, 3), 1.0);  // k == 0: only the beta scaling applies
+  fill(c.view(), nan);
   la::gemm(Trans::kNo, Trans::kNo, 1.0, a.view(), b.view(), 0.0, c.view());
-  EXPECT_DOUBLE_EQ(c(0, 0), 0.0);
+  for (index_t j = 0; j < 5; ++j)
+    for (index_t i = 0; i < 4; ++i) EXPECT_EQ(c(i, j), 0.0) << "k == 0";
+
+  Rng rng(6);
+  const Matrix a2 = random_matrix(4, 3, rng);
+  const Matrix b2 = random_matrix(3, 5, rng);
+  fill(c.view(), nan);
+  la::gemm(Trans::kNo, Trans::kNo, 0.0, a2.view(), b2.view(), 0.0, c.view());
+  for (index_t j = 0; j < 5; ++j)
+    for (index_t i = 0; i < 4; ++i) EXPECT_EQ(c(i, j), 0.0) << "alpha == 0";
+
+  // Both the small unpacked path and the packed path.
+  for (const index_t n : {8, 70}) {
+    const Matrix x = random_matrix(n, n, rng);
+    Matrix y(n, n);
+    fill(y.view(), nan);
+    la::gemm(Trans::kNo, Trans::kNo, 1.0, x.view(), x.view(), 0.0, y.view());
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i < n; ++i)
+        ASSERT_FALSE(std::isnan(y(i, j))) << "n=" << n;
+  }
+
+  const index_t n = 40, k = 3;
+  const Matrix sa = random_matrix(n, k, rng);
+  const Matrix sb = random_matrix(n, k, rng);
+  Matrix sc(n, n);
+  fill(sc.view(), nan);
+  la::syr2k_lower(1.0, sa.view(), sb.view(), 0.0, sc.view());
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = j; i < n; ++i)
+      ASSERT_FALSE(std::isnan(sc(i, j))) << "syr2k (" << i << "," << j << ")";
+  fill(sc.view(), nan);
+  la::syr2k_lower_square(1.0, sa.view(), sb.view(), 0.0, sc.view(), 16);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = j; i < n; ++i)
+      ASSERT_FALSE(std::isnan(sc(i, j)))
+          << "syr2k_square (" << i << "," << j << ")";
+}
+
+// Every compiled micro-kernel variant must reproduce the portable baseline
+// bitwise: same packing, same per-element c + (alpha*b)*a order, no FMA.
+// The shapes avoid multiples of every MR (2..16), kNR = 12, the 96 x 192
+// task block and kKC (256 doubles, 512 floats), and k crosses kKC.
+template <class T>
+void variants_match_baseline(const la::detail::GemmVariant& variant,
+                             std::size_t v) {
+  SCOPED_TRACE(scalar_name<T>());
+  const int shapes[][3] = {{197, 203, 530}, {131, 77, 300}, {13, 389, 41},
+                           {1, 30, 600}};
+  for (const auto& s : shapes) {
+    const index_t m = s[0], n = s[1], k = s[2];
+    Rng rng(5 + m + 7 * n + 11 * k);
+    for (const Trans ta : {Trans::kNo, Trans::kTrans}) {
+      for (const Trans tb : {Trans::kNo, Trans::kTrans}) {
+        const MatrixT<T> a = converted<T>(
+            ((ta == Trans::kNo) ? random_matrix(m, k, rng)
+                                : random_matrix(k, m, rng)).view());
+        const MatrixT<T> b = converted<T>(
+            ((tb == Trans::kNo) ? random_matrix(k, n, rng)
+                                : random_matrix(n, k, rng)).view());
+        const MatrixT<T> c0 = converted<T>(random_matrix(m, n, rng).view());
+        for (const T alpha : {T(1), T(-0.7)}) {
+          for (const T beta : {T(0), T(1), T(0.3)}) {
+            MatrixT<T> ref = c0, got = c0;
+            la::detail::gemm_variant_notrace<T>(0, ta, tb, alpha, a.view(),
+                                                b.view(), beta, ref.view());
+            la::detail::gemm_variant_notrace<T>(v, ta, tb, alpha, a.view(),
+                                                b.view(), beta, got.view());
+            for (index_t j = 0; j < n; ++j)
+              for (index_t i = 0; i < m; ++i)
+                ASSERT_EQ(ref(i, j), got(i, j))
+                    << variant.isa << " " << m << "x" << n << "x" << k
+                    << " ta=" << (ta == Trans::kTrans)
+                    << " tb=" << (tb == Trans::kTrans) << " alpha=" << alpha
+                    << " beta=" << beta << " at (" << i << "," << j << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmMicroKernel, EveryVariantMatchesBaselineBitwise) {
+  const std::vector<la::detail::GemmVariant> variants =
+      la::detail::gemm_variants();
+  ASSERT_FALSE(variants.empty());
+  EXPECT_STREQ(variants[0].isa, "baseline");
+  EXPECT_TRUE(variants[0].supported);
+  std::string skipped;
+  for (std::size_t v = 1; v < variants.size(); ++v) {
+    if (!variants[v].supported) {
+      skipped += std::string(" ") + variants[v].isa;
+      continue;
+    }
+    variants_match_baseline<double>(variants[v], v);
+    variants_match_baseline<float>(variants[v], v);
+  }
+  if (!skipped.empty()) GTEST_SKIP() << "CPU lacks:" << skipped;
+}
+
+// The production pick agrees with the baseline too, at 1 and 4 threads, on
+// a shape whose task grid (3 x 2 blocks of 96 x 192) has more tasks than
+// threads.
+template <class T>
+void threads_match_baseline() {
+  SCOPED_TRACE(scalar_name<T>());
+  const index_t m = 197, n = 203, k = 300;
+  Rng rng(77);
+  const MatrixT<T> a = converted<T>(random_matrix(k, m, rng).view());
+  const MatrixT<T> b = converted<T>(random_matrix(k, n, rng).view());
+  const MatrixT<T> c0 = converted<T>(random_matrix(m, n, rng).view());
+  MatrixT<T> ref = c0, c1 = c0, c4 = c0;
+  la::detail::gemm_variant_notrace<T>(0, Trans::kTrans, Trans::kNo, T(-0.7),
+                                      a.view(), b.view(), T(0.3), ref.view());
+  {
+    ThreadLimit serial(1);
+    la::gemm(Trans::kTrans, Trans::kNo, T(-0.7), a.view(), b.view(), T(0.3),
+             c1.view());
+  }
+  {
+    ThreadLimit parallel(4);
+    la::gemm(Trans::kTrans, Trans::kNo, T(-0.7), a.view(), b.view(), T(0.3),
+             c4.view());
+  }
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < m; ++i) {
+      ASSERT_EQ(c1(i, j), c4(i, j)) << "(" << i << "," << j << ")";
+      ASSERT_EQ(c1(i, j), ref(i, j)) << "(" << i << "," << j << ")";
+    }
+}
+
+TEST(GemmMicroKernel, ThreadCountsAgreeBitwise) {
+  threads_match_baseline<double>();
+  threads_match_baseline<float>();
 }
 
 TEST(Syr2k, ReferenceMatchesDenseFormula) {
