@@ -6,12 +6,14 @@
 #include <deque>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "common/cancel.h"
 #include "common/check.h"
 #include "common/fault.h"
 #include "common/thread_pool.h"
+#include "common/trace.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -66,6 +68,10 @@ struct TaskGraph::State {
   // around every node body so spans recorded on pool workers are attributed
   // to the owning request even when the pool interleaves graphs.
   obs::TraceContext ctx{};
+  // One op recorder per node when run() starts under an active
+  // trace::Recorder (empty otherwise). Each body records into its own on
+  // whichever thread runs it; run() appends them in node-id order.
+  std::vector<trace::Recorder> recorders;
   std::vector<Node> nodes;
   std::deque<int> ready_driver;
   std::deque<int> ready_pooled;
@@ -121,6 +127,10 @@ int execute_node(const std::shared_ptr<TaskGraph::State>& st, int id) {
   if (!cancelled) {
     try {
       obs::ContextScope ctx_scope(st->ctx);
+      std::optional<trace::Scope> trace_scope;
+      if (!st->recorders.empty()) {
+        trace_scope.emplace(st->recorders[static_cast<size_t>(id)]);
+      }
       fault::maybe_inject("taskgraph_node");
       obs::Span span(nd.name);
       span.attr("node", id);
@@ -230,6 +240,8 @@ TaskGraph::Stats TaskGraph::run() {
   const bool serial = total == 0 || budget <= 1 || in_pool_task();
 
   st->ctx = obs::current_context();
+  trace::Recorder* const caller_rec = trace::active();
+  if (caller_rec != nullptr) st->recorders.resize(static_cast<size_t>(total));
 
   int initial_pooled = 0;
   {
@@ -361,6 +373,14 @@ TaskGraph::Stats TaskGraph::run() {
       } else {
         st->idle_us += obs::now_us() - t0;
       }
+    }
+  }
+
+  // Drained: the op trace is the node bodies' ops in node-id order,
+  // whatever the schedule.
+  if (caller_rec != nullptr) {
+    for (const trace::Recorder& r : st->recorders) {
+      for (const trace::Op& op : r.ops()) caller_rec->record(op);
     }
   }
 

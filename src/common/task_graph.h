@@ -50,6 +50,11 @@
 //  * Observability. Each executed node records an obs::Span under its
 //    name (must be a string literal — spans keep the pointer), and a run
 //    feeds the taskgraph.* registry metrics (docs/ALGORITHMS.md §12).
+//  * Op tracing. A run started under an active trace::Recorder gives every
+//    node its own recorder, installed around the body on whichever thread
+//    runs it, and appends them to the caller's recorder in node-id order
+//    after the drain — so a traced run records the same op sequence at any
+//    thread count, and records it from the schedule production runs.
 #pragma once
 
 #include <functional>

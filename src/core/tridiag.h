@@ -67,7 +67,7 @@ struct TridiagOptions {
   /// Consolidated knob sub-struct carried alongside the tridiagonalization
   /// so one options object configures a full EVD pipeline. The
   /// tridiagonalization itself reads only knobs.lookahead (the stage-1
-  /// schedule: 0 = auto, -1 = force barrier, 1 = look-ahead DAG —
+  /// schedule: 0 = auto, -1 = force depth 0, 1 = look-ahead depth 1 —
   /// bitwise-neutral either way); the solver / back-transform knobs pass
   /// through untouched, folded into the merged knob vector by the eigh*
   /// drivers at plan::resolve_and_validate() (lowest precedence, below

@@ -86,9 +86,10 @@ void syr2k_lower_square(Scalar<T> alpha, InView<T> a, InView<T> b,
                         Scalar<T> beta, MatrixViewT<T> c, index_t block = 0);
 
 /// Effective square tile size the Fig.-7 schedule uses for an n x n update
-/// when the caller passed `block` (0 = default). Exposed so DAG schedulers
-/// (src/common/task_graph.h users) can build the exact same tile grid the
-/// barrier path iterates — the tile grid is part of the bitwise contract.
+/// when the caller passed `block` (0 = default). Exposed so the band
+/// reductions' task graphs (src/sbr) build the exact tile grid
+/// syr2k_lower_square iterates — the tile grid is part of the bitwise
+/// contract.
 index_t syr2k_square_block_size(index_t n, index_t block);
 
 namespace detail {
@@ -124,10 +125,17 @@ void gemm_variant_notrace(std::size_t variant, Trans ta, Trans tb,
                           Scalar<T> alpha, InView<T> a, InView<T> b,
                           Scalar<T> beta, MatrixViewT<T> c);
 
+/// Record the ops of the square-block syr2k schedule over an n x n update
+/// with inner dimension k and square tile size `block` (already resolved by
+/// syr2k_square_block_size), in the schedule's anti-diagonal order: one
+/// kSyr2k per diagonal tile, two kGemm per off-diagonal tile. With
+/// block == n this is the single kSyr2k(n, n, k) that syr2k_lower records.
+void record_syr2k_square(index_t n, index_t k, index_t block);
+
 /// One tile (bi, bj), bi >= bj, of the square-block syr2k schedule over the
 /// full lower-triangle update C += alpha (A B^T + B A^T): the diagonal tile
 /// is a lower-triangle syr2k, an off-diagonal tile two square GEMMs.
-/// Untraced — schedulers record the shape on the dispatching thread. All
+/// Untraced — schedulers record the grid with record_syr2k_square. All
 /// tiles write disjoint regions of C, so any execution order (or none of
 /// the barrier structure) gives bitwise-identical results.
 template <class T>

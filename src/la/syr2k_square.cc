@@ -13,8 +13,9 @@
 // realized on the thread pool: the independent blocks of each anti-diagonal
 // are dispatched concurrently (disjoint C tiles, so any worker count gives
 // bitwise-identical results). Each block still lands in the trace as a
-// square GEMM — recorded on the dispatching thread, since pool workers
-// carry no recorder — which is what the device model prices.
+// square GEMM — recorded on the dispatching thread by record_syr2k_square,
+// since pool workers carry no recorder — which is what the device model
+// prices.
 
 #include <algorithm>
 
@@ -30,6 +31,23 @@ index_t syr2k_square_block_size(index_t n, index_t block) {
 }
 
 namespace detail {
+
+void record_syr2k_square(index_t n, index_t k, index_t block) {
+  const index_t nblk = (n + block - 1) / block;
+  // Iterate by sub-diagonal distance d; blocks (bi = bj + d, bj).
+  for (index_t d = 0; d < nblk; ++d) {
+    for (index_t bj = 0; bj + d < nblk; ++bj) {
+      const index_t ib = std::min(block, n - (bj + d) * block);
+      const index_t jb = std::min(block, n - bj * block);
+      if (d == 0) {
+        trace::record({trace::OpKind::kSyr2k, ib, ib, k, 1});
+      } else {
+        trace::record({trace::OpKind::kGemm, ib, jb, k, 1});
+        trace::record({trace::OpKind::kGemm, ib, jb, k, 1});
+      }
+    }
+  }
+}
 
 template <class T>
 void syr2k_square_tile(Scalar<T> alpha, InView<T> a, InView<T> b,
@@ -70,24 +88,12 @@ void syr2k_lower_square(Scalar<T> alpha, InView<T> a, InView<T> b,
   if (n == 0) return;
   block = syr2k_square_block_size(n, block);
 
-  const index_t nblk = (n + block - 1) / block;
-  const index_t k = a.cols;
+  detail::record_syr2k_square(n, a.cols, block);
 
   // Iterate by sub-diagonal distance d; blocks (bi = bj + d, bj).
+  const index_t nblk = (n + block - 1) / block;
   for (index_t d = 0; d < nblk; ++d) {
     const index_t nbd = nblk - d;  // independent blocks in this iteration
-    for (index_t bj = 0; bj < nbd; ++bj) {
-      // Record the block ops in schedule order before dispatching, exactly
-      // as the serial traced kernels would have.
-      const index_t ib = std::min(block, n - (bj + d) * block);
-      const index_t jb = std::min(block, n - bj * block);
-      if (d == 0) {
-        trace::record({trace::OpKind::kSyr2k, ib, ib, k, 1});
-      } else {
-        trace::record({trace::OpKind::kGemm, ib, jb, k, 1});
-        trace::record({trace::OpKind::kGemm, ib, jb, k, 1});
-      }
-    }
     ThreadPool::global().parallel_for(0, nbd, [&](index_t bj) {
       detail::syr2k_square_tile<T>(alpha, a, b, beta, c, block, bj + d, bj);
     });

@@ -72,7 +72,8 @@ struct Knobs {
   index_t q2_group = 0;
   /// Stage-1 look-ahead depth for the band-reduction task DAG
   /// (src/common/task_graph.h): 0 = auto (filled from the resolved plan),
-  /// -1 = force the barrier schedule, >= 1 = look-ahead (clamped to 1 — the
+  /// -1 = force depth 0 (the graph without the look-ahead QR node),
+  /// >= 1 = look-ahead (clamped to 1 — the
   /// in-block panel chain is serial, so only the next block's first panel
   /// QR can be front-run while preserving bitwise identity). Results are
   /// bitwise identical at every depth; the knob only changes overlap.

@@ -70,7 +70,7 @@ struct Plan {
   index_t bt_kw = 256;
   index_t q2_group = 64;
   index_t smlsiz = 32;
-  /// Stage-1 look-ahead depth (0 = barrier schedule, 1 = overlap the next
+  /// Stage-1 look-ahead depth (0 = no look-ahead, 1 = overlap the next
   /// block's first panel QR with the trailing syr2k's tiles; see
   /// plan::Knobs::lookahead for the override convention). Bitwise-neutral.
   index_t lookahead = 0;
@@ -89,7 +89,7 @@ struct Plan {
 /// non-default execution mode ("+fp32" for mixed precision, "+vo" for
 /// values-only). This is what EvdResult.plan_source records, so profiles
 /// name the schedule that actually ran; plain tier names compare equal for
-/// barrier FP64 standard plans.
+/// depth-0 FP64 standard plans.
 std::string source_string(const Plan& plan);
 
 /// Canonicalize the execution-mode axis of a shape — the one resolution

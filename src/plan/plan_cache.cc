@@ -126,7 +126,7 @@ bool entry_from_json(const Value& e, std::string* key, Plan* plan) {
   plan->threads = static_cast<int>(threads);
   plan->bc_threads = static_cast<int>(bc_threads);
   // Optional (absent in pre-look-ahead cache files, which stay loadable):
-  // default to the barrier schedule.
+  // default to depth 0 (no look-ahead).
   index_t lookahead = 0;
   get_index(e, "lookahead", &lookahead);
   plan->lookahead = lookahead;

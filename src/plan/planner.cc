@@ -185,7 +185,7 @@ const char* to_string(PlanSource source) {
 
 std::string source_string(const Plan& plan) {
   std::string s = to_string(plan.source);
-  // Only schedule-changing knob values are recorded: barrier plans keep the
+  // Only schedule-changing knob values are recorded: depth-0 plans keep the
   // plain tier name, so pre-look-ahead provenance strings stay comparable.
   if (plan.lookahead >= 1) s += "+la" + std::to_string(plan.lookahead);
   // Non-default execution modes are recorded the same way — default FP64
@@ -231,7 +231,7 @@ Plan default_plan(const ProblemShape& shape) {
   p.bt_kw = 256;
   p.q2_group = 64;
   p.smlsiz = 32;
-  p.lookahead = 0;  // legacy barrier schedule
+  p.lookahead = 0;  // legacy: no look-ahead
   return clamped_for(p, std::max<index_t>(shape.n, 1));
 }
 
@@ -413,7 +413,7 @@ TridiagOptions validated(const TridiagOptions& opts, index_t n) {
   TDG_CHECK(opts.threads >= 0 && opts.bc_threads >= 0,
             "plan: negative thread count");
   TDG_CHECK(opts.knobs.lookahead >= -1,
-            "plan: lookahead must be -1 (barrier), 0 (auto), or a depth");
+            "plan: lookahead must be -1 (depth 0), 0 (auto), or a depth");
   TridiagOptions o = opts;
   // Only depth 1 carries bitwise-preserving work to front-run; deeper
   // requests behave as 1 (see sbr::BandReductionOptions::lookahead).
@@ -471,7 +471,7 @@ ResolvedPipeline resolve_and_validate(const ProblemShape& shape,
   r.tridiag.plan = PlanMode::kManual;  // already resolved
   r.tridiag.want_factors = s.vectors;
   // Provenance records the schedule that will actually run: a caller knob
-  // (including -1 = force barrier) overrides what the plan proposed.
+  // (including -1 = force depth 0) overrides what the plan proposed.
   r.plan.lookahead = std::max<index_t>(0, r.tridiag.knobs.lookahead);
 
   r.applyq.knobs = k;

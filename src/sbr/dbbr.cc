@@ -16,22 +16,27 @@
 // therefore computed from the stale trailing matrix plus the accumulated
 // correction: A_cur = A_stale - Y Z^T - Z Y^T.
 //
-// Two schedules over the same arithmetic:
-//
-//  * Barrier (opts.lookahead == 0): panels, then one trailing syr2k, then
-//    the next outer block — each phase joins before the next starts.
-//  * Look-ahead DAG (opts.lookahead >= 1): the outer loop is expressed as a
-//    task graph (common/task_graph.h). Per outer step s the nodes are
-//      PC_s   (driver) the full panel chain of the block,
-//      T_s    (pooled) one node per square tile of the trailing syr2k —
-//             mutually independent, so the per-anti-diagonal barriers of
-//             syr2k_lower_square disappear,
-//      QR_s+1 (pooled) the *first* panel QR of the next block, depending
-//             only on the tile-columns of T_s it actually reads — this is
-//             the look-ahead: it overlaps the bulk of step s's tiles,
-//      FIX    (driver) the final partial-panel fixup, after the last tiles.
-//    The tile grid, kernels, and inputs are identical to the barrier path,
-//    so results are bitwise identical for any schedule and thread count.
+// The outer loop runs as a task graph (common/task_graph.h). Per outer
+// step s the nodes are
+//   QR_s   (pooled, look-ahead only) the *first* panel QR of the block,
+//          depending only on the tile-columns of T_s-1 it actually reads —
+//          this is the look-ahead: it overlaps the bulk of step s-1's tiles,
+//   PC_s   (driver) the full panel chain of the block; it also records the
+//          trailing update's tile ops, so an op trace keeps the canonical
+//          order,
+//   T_s    one node per square tile of the trailing syr2k — mutually
+//          independent, so the per-anti-diagonal barriers of
+//          syr2k_lower_square disappear. Without opts.use_square_syr2k one
+//          tile covers the whole update (the column-sweep syr2k); a
+//          one-tile grid is a driver node, keeping the kernel's pool
+//          fan-out,
+//   FIX    (driver) the final partial-panel fixup, after the last tiles.
+// opts.lookahead is the one schedule switch: depth 0 is the same graph
+// without the QR_s nodes (PC_s then does every panel QR itself), which
+// joins each step's tiles before the next panel chain — the classic
+// barrier schedule. Every node writes what the other schedules write from
+// the same inputs, so results are bitwise identical for any depth and
+// thread count.
 
 #include <algorithm>
 #include <utility>
@@ -40,7 +45,6 @@
 #include "common/cancel.h"
 #include "common/task_graph.h"
 #include "common/thread_pool.h"
-#include "common/trace.h"
 #include "obs/obs.h"
 #include "sbr/internal.h"
 #include "sbr/sbr.h"
@@ -71,27 +75,17 @@ void zero_below_r(MatrixViewT<T> a, index_t j0, index_t b, index_t w) {
   }
 }
 
-template <class T>
-void trailing_syr2k(const BandReductionOptions& opts, InView<T> v,
-                    InView<T> w, MatrixViewT<T> atail) {
-  if (opts.use_square_syr2k) {
-    la::syr2k_lower_square<T>(-1, v, w, 1, atail, opts.syr2k_block);
-  } else {
-    la::syr2k_lower<T>(-1, v, w, 1, atail);
-  }
-}
-
 }  // namespace detail
 
 namespace {
 
 /// One width-w panel at column j of the current outer block: JIT refresh
 /// with the block's accumulated (Y, Z), panel QR (skipped when `pre` hands
-/// in a prefactored WY — the DAG path's look-ahead QR, which also already
-/// zeroed below R), A_cur V via symm + corrections, W, accumulation into
+/// in a prefactored WY — the look-ahead QR node, which also already zeroed
+/// below R), A_cur V via symm + corrections, W, accumulation into
 /// (y, z), and the panel record. Returns the new accumulated column count.
-/// Shared verbatim by the barrier and DAG paths — bitwise identity between
-/// the two schedules rests on this being the single implementation.
+/// The QR_s node runs exactly the QR half of this function, so the
+/// look-ahead depth cannot change the arithmetic.
 /// With keep_all == false only the newest panel is retained (the partial
 /// -panel fixups read f.panels.back() only), so a values-only reduction
 /// holds one O(n*b) panel at a time instead of the O(n^2/2) full set.
@@ -152,7 +146,7 @@ index_t panel_step(MatrixViewT<T> a, index_t b, index_t j, index_t cols,
 }
 
 /// Static geometry of one outer step, precomputed by replaying the loop
-/// bounds arithmetically so the DAG can be built before any numbers move.
+/// bounds arithmetically so the graph can be built before any numbers move.
 struct StepGeom {
   index_t i = 0;       // first panel column of the block
   index_t cols = 0;    // accumulated reflector columns
@@ -162,162 +156,25 @@ struct StepGeom {
   index_t nblk = 0;    // tile grid dimension
 };
 
-std::vector<StepGeom> dbbr_geometry(index_t n, index_t b, index_t k,
-                                    index_t syr2k_block) {
+std::vector<StepGeom> dbbr_geometry(index_t n,
+                                    const BandReductionOptions& opts) {
+  const index_t b = opts.b;
   std::vector<StepGeom> steps;
-  for (index_t i = 0; n - i - b >= 1; i += k) {
+  for (index_t i = 0; n - i - b >= 1; i += opts.k) {
     StepGeom s;
     s.i = i;
-    for (index_t j = i; j < i + k && n - j - b >= 1; j += b) {
+    for (index_t j = i; j < i + opts.k && n - j - b >= 1; j += b) {
       const index_t w = std::min(b, n - j - b);
       s.cols += w;
       s.t0 = j + w;
       s.last_w = w;
     }
     const index_t nt = n - s.t0;  // always >= 1: w <= b and n - j - b >= 1
-    s.blk = la::syr2k_square_block_size(nt, syr2k_block);
+    s.blk = detail::trailing_tile_size(opts, nt);
     s.nblk = (nt + s.blk - 1) / s.blk;
     steps.push_back(s);
   }
   return steps;
-}
-
-/// The look-ahead DAG schedule. Same arithmetic as the barrier loop below,
-/// re-expressed as a task graph; see the file header for the node layout.
-template <class T>
-void dbbr_graph(MatrixViewT<T> a, const BandReductionOptions& opts,
-                MatrixT<T>& y, MatrixT<T>& z, BandFactorT<T>& f,
-                obs::Span& dbbr_span) {
-  const index_t n = a.rows;
-  const index_t b = opts.b;
-  const index_t k = opts.k;
-  const std::vector<StepGeom> steps =
-      dbbr_geometry(n, b, k, opts.syr2k_block);
-  const index_t ns = static_cast<index_t>(steps.size());
-  if (ns == 0) return;
-
-  using graph::NodeClass;
-  using graph::TaskGraph;
-  TaskGraph g;
-
-  // Look-ahead QR results, one slot per step, written by QR_s and consumed
-  // by PC_s (ordered by the qr -> pc edge). Preallocated so no container
-  // mutates while pool workers hold references.
-  std::vector<lapack::WyFactorT<T>> pre(ns);
-  std::vector<char> pre_ok(ns, 0);
-
-  // tile ids of the previous step, grouped by tile-column bj (so the QR
-  // node can depend on exactly the columns it reads).
-  std::vector<std::vector<TaskGraph::NodeId>> prev_cols;
-
-  for (index_t s = 0; s < ns; ++s) {
-    const StepGeom& st = steps[s];
-
-    // QR_s (s >= 1): prefactor the block's first panel as soon as the tile
-    // columns it reads — trailing columns [i, i+w) of step s-1, whose
-    // trailing region starts at steps[s-1].t0 — have landed. For full
-    // previous blocks t0_{s-1} == i, so this is the first ceil(w/blk)
-    // columns of the previous tile grid.
-    TaskGraph::NodeId qr = -1;
-    if (s > 0 && opts.lookahead >= 1) {
-      const index_t w0 = std::min(b, n - st.i - b);
-      const index_t span_cols = st.i + w0 - steps[s - 1].t0;
-      const index_t prev_blk = steps[s - 1].blk;
-      const index_t ncov =
-          std::min<index_t>(steps[s - 1].nblk,
-                            (span_cols + prev_blk - 1) / prev_blk);
-      std::vector<TaskGraph::NodeId> deps;
-      for (index_t c = 0; c < ncov; ++c) {
-        deps.insert(deps.end(), prev_cols[c].begin(), prev_cols[c].end());
-      }
-      qr = g.add(
-          "dbbr.lookahead_qr", NodeClass::kPooled,
-          [&a, &steps, &pre, &pre_ok, s, n, b] {
-            const index_t j = steps[s].i;
-            const index_t m = n - j - b;
-            const index_t w = std::min(b, m);
-            pre[s] = lapack::panel_qr(a.block(j + b, j, m, w));
-            detail::zero_below_r(a, j, b, w);
-            pre_ok[s] = 1;
-          },
-          deps);
-    }
-
-    // PC_s: the whole panel chain of the block. Reads the full trailing
-    // matrix of step s-1 (the first symm spans it), so it depends on every
-    // previous tile — plus QR_s, whose result it consumes.
-    std::vector<TaskGraph::NodeId> pc_deps;
-    for (const auto& col : prev_cols) {
-      pc_deps.insert(pc_deps.end(), col.begin(), col.end());
-    }
-    if (qr >= 0) pc_deps.push_back(qr);
-    const bool keep_all = opts.want_factors;
-    const TaskGraph::NodeId pc = g.add(
-        "dbbr.panel_chain", NodeClass::kDriver,
-        [&a, &steps, &pre, &pre_ok, &y, &z, &f, s, n, b, k, keep_all] {
-          // Driver nodes run on the run() caller thread, which still holds
-          // the request's cancel::Scope — one poll per outer block.
-          cancel::poll("dbbr_block");
-          const StepGeom& cur = steps[s];
-          y.set_zero();
-          z.set_zero();
-          index_t cols = 0;
-          for (index_t j = cur.i; j < cur.i + k && n - j - b >= 1; j += b) {
-            lapack::WyFactorT<T>* p =
-                (j == cur.i && pre_ok[s]) ? &pre[s] : nullptr;
-            cols = panel_step(a, b, j, cols, y, z, f, p, keep_all);
-          }
-        },
-        pc_deps);
-
-    // T_s: the trailing syr2k as independent square tiles (disjoint C
-    // regions — the anti-diagonal barriers of the pooled schedule carry no
-    // ordering information and are simply dropped). Tile-column 0 is added
-    // first so the FIFO ready queue front-runs the columns QR_{s+1} waits
-    // on.
-    std::vector<std::vector<TaskGraph::NodeId>> cur_cols(st.nblk);
-    for (index_t bj = 0; bj < st.nblk; ++bj) {
-      for (index_t bi = bj; bi < st.nblk; ++bi) {
-        cur_cols[bj].push_back(g.add(
-            "dbbr.syr2k_tile", NodeClass::kPooled,
-            [&a, &steps, &y, &z, s, bi, bj, n] {
-              const StepGeom& cur = steps[s];
-              const index_t nt = n - cur.t0;
-              la::detail::syr2k_square_tile<T>(
-                  -1, y.block(cur.t0, 0, nt, cur.cols),
-                  z.block(cur.t0, 0, nt, cur.cols), 1,
-                  a.block(cur.t0, cur.t0, nt, nt), cur.blk, bi, bj);
-            },
-            {pc}));
-      }
-    }
-    prev_cols = std::move(cur_cols);
-  }
-
-  // FIX: the final block ended on a partial panel (w < b) — its remaining
-  // in-band columns still take Q^T from the left. The touched region
-  // overlaps the last trailing update, so order after every last-step tile.
-  if (steps[ns - 1].last_w < b) {
-    std::vector<TaskGraph::NodeId> deps;
-    for (const auto& col : prev_cols) {
-      deps.insert(deps.end(), col.begin(), col.end());
-    }
-    g.add(
-        "dbbr.fixup", NodeClass::kDriver,
-        [&a, &f, b] {
-          const PanelT<T>& last = f.panels.back();
-          const index_t lw = last.v.cols();
-          const index_t lj = last.row0 - b;
-          lapack::apply_block_reflector_left<T>(
-              last.v.view(), last.t.view(), Trans::kTrans,
-              a.block(last.row0, lj + lw, last.v.rows(), b - lw));
-        },
-        deps);
-  }
-
-  const TaskGraph::Stats stats = g.run();
-  dbbr_span.attr("tg_overlap_pct",
-                 static_cast<long long>(100.0 * stats.overlap_fraction()));
 }
 
 }  // namespace
@@ -346,55 +203,112 @@ BandFactorT<T> dbbr(MatrixViewT<T> a, const BandReductionOptions& opts) {
   MatrixT<T> y(n, k);  // accumulated V panels (global row indexing)
   MatrixT<T> z(n, k);  // accumulated W panels
 
-  // DAG schedule: bitwise-identical to the barrier loop below (same tile
-  // grid, same kernels, same inputs). Falls back under an active op trace —
-  // graph nodes run on pool workers, which carry no recorder, so only the
-  // barrier path can reproduce the canonical trace order.
-  if (opts.lookahead >= 1 && opts.use_square_syr2k &&
-      trace::active() == nullptr) {
-    dbbr_graph(a, opts, y, z, f, dbbr_span);
-    if (!opts.want_factors) f.panels.clear();
-    return f;
+  // The reduction's task graph; see the file header for the node layout.
+  const std::vector<StepGeom> steps = dbbr_geometry(n, opts);
+  const index_t ns = static_cast<index_t>(steps.size());
+  if (ns == 0) return f;
+
+  using graph::NodeClass;
+  using graph::TaskGraph;
+  TaskGraph g;
+
+  // Look-ahead QR results, one slot per step, written by QR_s and consumed
+  // by PC_s (ordered by the qr -> pc edge). Preallocated so no container
+  // mutates while pool workers hold references.
+  std::vector<lapack::WyFactorT<T>> pre(ns);
+  std::vector<char> pre_ok(ns, 0);
+
+  detail::TileColumns prev_cols;  // tile ids of the previous step
+
+  for (index_t s = 0; s < ns; ++s) {
+    const StepGeom& st = steps[s];
+
+    // QR_s (s >= 1): prefactor the block's first panel as soon as the tile
+    // columns it reads — trailing columns [i, i+w) of step s-1, whose
+    // trailing region starts at steps[s-1].t0 — have landed. For full
+    // previous blocks t0_{s-1} == i, so this is the first ceil(w/blk)
+    // columns of the previous tile grid.
+    TaskGraph::NodeId qr = -1;
+    if (s > 0 && opts.lookahead >= 1) {
+      const index_t w0 = std::min(b, n - st.i - b);
+      const index_t span_cols = st.i + w0 - steps[s - 1].t0;
+      const index_t prev_blk = steps[s - 1].blk;
+      qr = g.add(
+          "dbbr.lookahead_qr", NodeClass::kPooled,
+          [&a, &steps, &pre, &pre_ok, s, n, b] {
+            const index_t j = steps[s].i;
+            const index_t m = n - j - b;
+            const index_t w = std::min(b, m);
+            pre[s] = lapack::panel_qr(a.block(j + b, j, m, w));
+            detail::zero_below_r(a, j, b, w);
+            pre_ok[s] = 1;
+          },
+          detail::column_deps(prev_cols,
+                              (span_cols + prev_blk - 1) / prev_blk));
+    }
+
+    // PC_s: the whole panel chain of the block. Reads the full trailing
+    // matrix of step s-1 (the first symm spans it), so it depends on every
+    // previous tile — plus QR_s, whose result it consumes.
+    std::vector<TaskGraph::NodeId> pc_deps = detail::column_deps(prev_cols);
+    if (qr >= 0) pc_deps.push_back(qr);
+    const bool keep_all = opts.want_factors;
+    const TaskGraph::NodeId pc = g.add(
+        "dbbr.panel_chain", NodeClass::kDriver,
+        [&a, &steps, &pre, &pre_ok, &y, &z, &f, s, n, b, k, keep_all] {
+          // Driver nodes run on the run() caller thread, which still holds
+          // the request's cancel::Scope — one poll per outer block.
+          cancel::poll("dbbr_block");
+          const StepGeom& cur = steps[s];
+          y.set_zero();
+          z.set_zero();
+          index_t cols = 0;
+          for (index_t j = cur.i; j < cur.i + k && n - j - b >= 1; j += b) {
+            lapack::WyFactorT<T>* p =
+                (j == cur.i && pre_ok[s]) ? &pre[s] : nullptr;
+            cols = panel_step(a, b, j, cols, y, z, f, p, keep_all);
+          }
+          // The tiles run untraced; their ops are recorded here, after
+          // the panels that produce their operands.
+          la::detail::record_syr2k_square(n - cur.t0, cur.cols, cur.blk);
+        },
+        pc_deps);
+
+    // T_s: the trailing syr2k as independent square tiles (disjoint C
+    // regions — syr2k_lower_square's anti-diagonal joins carry no ordering
+    // information and are simply dropped).
+    prev_cols = detail::add_tile_nodes(
+        g, "dbbr.syr2k_tile", st.nblk, pc,
+        [&a, &steps, &y, &z, s, n](index_t bi, index_t bj) {
+          const StepGeom& cur = steps[s];
+          const index_t nt = n - cur.t0;
+          la::detail::syr2k_square_tile<T>(
+              -1, y.block(cur.t0, 0, nt, cur.cols),
+              z.block(cur.t0, 0, nt, cur.cols), 1,
+              a.block(cur.t0, cur.t0, nt, nt), cur.blk, bi, bj);
+        });
   }
 
-  index_t i = 0;
-  while (n - i - b >= 1) {
-    cancel::poll("dbbr_block");
-    y.set_zero();
-    z.set_zero();
-    index_t cols = 0;  // accumulated reflector columns in this outer block
-    index_t t0 = i;    // start of the stale trailing region
-
-    for (index_t j = i; j < i + k && n - j - b >= 1; j += b) {
-      cols = panel_step<T>(a, b, j, cols, y, z, f, nullptr,
-                           opts.want_factors);
-      t0 = j + std::min(b, n - j - b);  // columns < t0 final; >= t0 stale
-    }
-
-    if (cols > 0 && t0 < n) {
-      // One fat trailing update for the whole outer block (inner dim = cols).
-      obs::Span syr2k_span("dbbr.syr2k");
-      syr2k_span.attr("rows", n - t0);
-      syr2k_span.attr("inner", cols);
-      detail::trailing_syr2k<T>(opts, y.block(t0, 0, n - t0, cols),
-                                z.block(t0, 0, n - t0, cols),
-                                a.block(t0, t0, n - t0, n - t0));
-    }
-    if (!f.panels.empty()) {
-      // Final partial panel of the block (w < b): columns [j+w, j+b) stay
-      // inside the band but their below-diagonal rows still receive the last
-      // panel's Q^T from the left. (For full panels w == b this is empty.)
-      const PanelT<T>& last = f.panels.back();
-      const index_t lw = last.v.cols();
-      const index_t lj = last.row0 - b;
-      if (lw < b && lj >= i) {
-        lapack::apply_block_reflector_left<T>(
-            last.v.view(), last.t.view(), Trans::kTrans,
-            a.block(last.row0, lj + lw, last.v.rows(), b - lw));
-      }
-    }
-    i += k;
+  // FIX: the final block ended on a partial panel (w < b) — its remaining
+  // in-band columns still take Q^T from the left. The touched region
+  // overlaps the last trailing update, so order after every last-step tile.
+  if (steps[ns - 1].last_w < b) {
+    g.add(
+        "dbbr.fixup", NodeClass::kDriver,
+        [&a, &f, b] {
+          const PanelT<T>& last = f.panels.back();
+          const index_t lw = last.v.cols();
+          const index_t lj = last.row0 - b;
+          lapack::apply_block_reflector_left<T>(
+              last.v.view(), last.t.view(), Trans::kTrans,
+              a.block(last.row0, lj + lw, last.v.rows(), b - lw));
+        },
+        detail::column_deps(prev_cols));
   }
+
+  const TaskGraph::Stats stats = g.run();
+  dbbr_span.attr("tg_overlap_pct",
+                 static_cast<long long>(100.0 * stats.overlap_fraction()));
   if (!opts.want_factors) f.panels.clear();
   return f;
 }
@@ -404,9 +318,6 @@ BandFactorT<T> dbbr(MatrixViewT<T> a, const BandReductionOptions& opts) {
       ConstMatrixViewT<T>, ConstMatrixViewT<T>, ConstMatrixViewT<T>);         \
   template void detail::zero_below_r<T>(MatrixViewT<T>, index_t, index_t,     \
                                         index_t);                             \
-  template void detail::trailing_syr2k<T>(                                    \
-      const BandReductionOptions&, ConstMatrixViewT<T>, ConstMatrixViewT<T>,  \
-      MatrixViewT<T>);                                                        \
   template BandFactorT<T> dbbr<T>(MatrixViewT<T>, const BandReductionOptions&);
 TDG_INSTANTIATE(double)
 TDG_INSTANTIATE(float)

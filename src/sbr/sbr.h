@@ -52,7 +52,10 @@ struct BandReductionOptions {
   /// DBBR outer block (syr2k inner dimension); must be a multiple of b.
   index_t k = 256;
   /// Use the paper's square-block syr2k schedule for trailing updates
-  /// (Section 5.1) instead of the reference column-sweep syr2k.
+  /// (Section 5.1) instead of the reference column-sweep syr2k. When false
+  /// each trailing update is one tile covering the whole trailing matrix —
+  /// exactly the column-sweep la::syr2k_lower kernel and traced op — in the
+  /// same task graph.
   bool use_square_syr2k = true;
   /// Square-block size for the custom syr2k (0 = default).
   index_t syr2k_block = 0;
@@ -60,16 +63,16 @@ struct BandReductionOptions {
   /// updates (0 = inherit the ambient ThreadLimit / TDG_THREADS default).
   /// Any thread count produces bitwise-identical results.
   int threads = 0;
-  /// Look-ahead depth (0 = the barrier schedule). At depth >= 1 the outer
-  /// loop runs as a task DAG (common/task_graph.h): the trailing syr2k's
-  /// square tiles execute barrier-free, and the next step's first panel QR
-  /// overlaps the tiles it does not read — only the column slice it touches
-  /// orders it. Only depth 1 carries extra bitwise-preserving work to
-  /// front-run (the in-block panel chain is serial through the accumulated
-  /// (Y, Z)), so deeper values behave as 1. Results are bitwise identical
-  /// to the barrier schedule for any depth and thread count. Requires
-  /// use_square_syr2k; falls back to the barrier path under an active op
-  /// trace (pool workers carry no recorder).
+  /// Look-ahead depth of the reduction's one schedule, a task graph
+  /// (common/task_graph.h) whose trailing syr2k tiles execute barrier-free.
+  /// Depth 0 is that graph without look-ahead: each step's panel chain
+  /// waits for every tile of the previous step. At depth 1 the next step's
+  /// first panel QR is its own node and overlaps the tiles it does not
+  /// read — only the column slice it touches orders it. Only depth 1
+  /// carries extra bitwise-preserving work to front-run (the in-block panel
+  /// chain is serial through the accumulated (Y, Z)), so deeper values
+  /// behave as 1. Results are bitwise identical for any depth and thread
+  /// count, and an op-traced run (trace::Scope) runs this same schedule.
   index_t lookahead = 0;
   /// Retain the reflector panels for the stage-1 back transformation. When
   /// false (a values-only request) the reduction keeps at most one panel

@@ -744,12 +744,10 @@ struct ServeCore::Impl {
     req->promise.set_value(std::move(r));
   }
 
-  /// Feed one resolution latency into the explicit-bound histograms: the
-  /// per-instance aggregate behind ServeStats::hist_p*, and the registry's
-  /// labelled "serve.latency_ms" series (the "" aggregate plus this
-  /// request's shape bucket) behind the OpenMetrics exposition.
+  /// Feed one resolution latency into the registry's labelled
+  /// "serve.latency_ms" series (the "" aggregate plus this request's shape
+  /// bucket) behind the OpenMetrics exposition.
   void record_latency_ms(double ms, const std::string& label) {
-    latency_hist.record(ms);
     obs::Registry& r = obs::Registry::global();
     r.latency("serve.latency_ms", "")->record(ms);
     r.latency("serve.latency_ms", label)->record(ms);
@@ -931,11 +929,6 @@ struct ServeCore::Impl {
       s.p95_ms = pct(0.95);
       s.p99_ms = pct(0.99);
     }
-    if (latency_hist.count() > 0) {
-      s.hist_p50_ms = latency_hist.percentile(0.50);
-      s.hist_p95_ms = latency_hist.percentile(0.95);
-      s.hist_p99_ms = latency_hist.percentile(0.99);
-    }
     return s;
   }
 
@@ -967,13 +960,6 @@ struct ServeCore::Impl {
   static constexpr std::size_t kLatencyReservoir = 4096;
   std::vector<double> latencies_ms;  // bounded: note_latency_locked
   long long latency_seen = 0;
-
-  // Per-instance aggregate of the canonical latency ladder (lock-free;
-  // recorded outside mu). Backs ServeStats::hist_p50/p95/p99 without
-  // cross-instance pollution from the shared registry series.
-  int latency_nb = 0;
-  const double* latency_bounds = obs::latency_bounds_ms(&latency_nb);
-  obs::BoundedHistogram latency_hist{latency_bounds, latency_nb};
 
   std::map<std::string, Breaker> breakers;
   std::map<std::string, PlanSlot> plans;

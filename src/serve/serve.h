@@ -198,14 +198,6 @@ struct ServeStats {
   double p50_ms = 0.0;  // submit -> resolution, resolved requests only
   double p95_ms = 0.0;
   double p99_ms = 0.0;
-  // The same percentiles estimated from the explicit-bound latency
-  // histogram (obs::latency_bounds_ms ladder) that backs the OpenMetrics
-  // "tdg_serve_latency_ms" series: each is the upper bound of the bucket
-  // holding the percentile sample, so it agrees with the reservoir-derived
-  // value above to within one bucket bound (asserted in serve_test).
-  double hist_p50_ms = 0.0;
-  double hist_p95_ms = 0.0;
-  double hist_p99_ms = 0.0;
 
   /// The exactly-once invariant: every submitted request has resolved to
   /// one outcome. Holds whenever no request is queued or in flight.

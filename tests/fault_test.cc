@@ -233,48 +233,64 @@ TEST(ChaseFault, StalledGateHitsSpinDeadline) {
 }
 
 TEST(TaskGraphFault, FailingNodeCancelsSuccessorsAndSurfacesTypedError) {
-  // Drive the injection through the look-ahead DBBR DAG: the fired node's
-  // successors must be cancelled (counted in the registry metric, not run)
-  // and the graph must drain into a typed rethrow — no hang, no terminate.
+  // Drive the injection through the DBBR task graph at both look-ahead
+  // depths, serially and pooled: the fired node's successors must be
+  // cancelled (counted in the registry metric, not run) and the graph must
+  // drain into a typed rethrow — no hang, no terminate.
   const index_t n = 96;
   Rng rng(91);
   const Matrix a0 = random_symmetric(n, rng);
 
+  sbr::BandReductionOptions base;
+  base.b = 8;
+  base.k = 32;
+  base.syr2k_block = 16;
+
+  // Depth-0 reference, single-threaded and undisturbed.
+  Matrix ref = a0;
+  {
+    sbr::BandReductionOptions o = base;
+    o.threads = 1;
+    o.lookahead = 0;
+    sbr::dbbr(ref.view(), o);
+  }
+
   obs::Counter* cancelled =
       obs::Registry::global().counter("taskgraph.nodes_cancelled");
-  const long long cancelled_before = cancelled->value();
-
   struct MetricsArm {
     MetricsArm() { obs::arm_metrics(); }
     ~MetricsArm() { obs::disarm_metrics(); }
   } metrics;
-  fault::Scoped armed("taskgraph_node", /*trigger=*/3);
-  sbr::BandReductionOptions opts;
-  opts.b = 8;
-  opts.k = 32;
-  opts.threads = 8;
-  opts.lookahead = 1;
-  opts.syr2k_block = 16;
-  Matrix a = a0;
-  try {
-    sbr::dbbr(a.view(), opts);
-    FAIL() << "expected injected fault";
-  } catch (const Error& err) {
-    EXPECT_EQ(err.code(), ErrorCode::kFaultInjected);
-  }
-  // A DBBR graph at this shape has far more than 3 nodes, so poisoning the
-  // third leaves successors to cancel.
-  EXPECT_GT(cancelled->value(), cancelled_before);
 
-  // The library is healthy afterwards and the clean rerun is bitwise equal
-  // to the barrier schedule.
-  Matrix clean = a0;
-  sbr::dbbr(clean.view(), opts);
-  Matrix barrier = a0;
-  sbr::BandReductionOptions bopts = opts;
-  bopts.lookahead = 0;
-  sbr::dbbr(barrier.view(), bopts);
-  EXPECT_EQ(max_abs_diff(clean.view(), barrier.view()), 0.0);
+  for (const index_t depth : {index_t{0}, index_t{1}}) {
+    for (const int threads : {1, 8}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "lookahead=" << depth << " threads=" << threads);
+      sbr::BandReductionOptions opts = base;
+      opts.threads = threads;
+      opts.lookahead = depth;
+      const long long cancelled_before = cancelled->value();
+      {
+        fault::Scoped armed("taskgraph_node", /*trigger=*/3);
+        Matrix a = a0;
+        try {
+          sbr::dbbr(a.view(), opts);
+          ADD_FAILURE() << "expected injected fault";
+        } catch (const Error& err) {
+          EXPECT_EQ(err.code(), ErrorCode::kFaultInjected);
+        }
+      }
+      // A DBBR graph at this shape has far more than 3 nodes, so poisoning
+      // the third leaves successors to cancel.
+      EXPECT_GT(cancelled->value(), cancelled_before);
+
+      // The library is healthy afterwards and the clean rerun is bitwise
+      // equal to the depth-0 reference.
+      Matrix clean = a0;
+      sbr::dbbr(clean.view(), opts);
+      EXPECT_EQ(max_abs_diff(clean.view(), ref.view()), 0.0);
+    }
+  }
 }
 
 TEST(ChaseFault, CleanRunAfterPoisonedRunIsBitwiseCorrect) {

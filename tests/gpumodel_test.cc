@@ -15,6 +15,7 @@
 #include "gpumodel/trace_cost.h"
 #include "la/generate.h"
 #include "lapack/lapack.h"
+#include "obs/metrics.h"
 #include "sbr/sbr.h"
 
 namespace tdg {
@@ -159,18 +160,23 @@ class Sy2sbTraceFidelity
 TEST_P(Sy2sbTraceFidelity, SyntheticMatchesRecorded) {
   const auto [n, b, square] = GetParam();
   Rng rng(2 + n);
-  Matrix a = random_symmetric(n, rng);
-  sbr::BandReductionOptions opts;
-  opts.use_square_syr2k = square;
-  opts.syr2k_block = 16;
-  trace::Recorder rec;
-  {
-    trace::Scope scope(rec);
-    sbr::sy2sb(a.view(), b, opts);
-  }
+  const Matrix a0 = random_symmetric(n, rng);
   const auto synth = gpumodel::trace_sy2sb(n, b, square, 16);
-  std::string why;
-  EXPECT_TRUE(same_ops(rec.ops(), synth, &why)) << why;
+  for (const int threads : {1, 8}) {  // serial and pooled graph runs
+    Matrix a = a0;
+    sbr::BandReductionOptions opts;
+    opts.use_square_syr2k = square;
+    opts.syr2k_block = 16;
+    opts.threads = threads;
+    trace::Recorder rec;
+    {
+      trace::Scope scope(rec);
+      sbr::sy2sb(a.view(), b, opts);
+    }
+    std::string why;
+    EXPECT_TRUE(same_ops(rec.ops(), synth, &why))
+        << "threads=" << threads << ": " << why;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, Sy2sbTraceFidelity,
@@ -186,20 +192,25 @@ class DbbrTraceFidelity
 TEST_P(DbbrTraceFidelity, SyntheticMatchesRecorded) {
   const auto [n, b, k, square] = GetParam();
   Rng rng(3 + n);
-  Matrix a = random_symmetric(n, rng);
-  sbr::BandReductionOptions opts;
-  opts.b = b;
-  opts.k = k;
-  opts.use_square_syr2k = square;
-  opts.syr2k_block = 16;
-  trace::Recorder rec;
-  {
-    trace::Scope scope(rec);
-    sbr::dbbr(a.view(), opts);
-  }
+  const Matrix a0 = random_symmetric(n, rng);
   const auto synth = gpumodel::trace_dbbr(n, b, k, square, 16);
-  std::string why;
-  EXPECT_TRUE(same_ops(rec.ops(), synth, &why)) << why;
+  for (const int threads : {1, 8}) {  // serial and pooled graph runs
+    Matrix a = a0;
+    sbr::BandReductionOptions opts;
+    opts.b = b;
+    opts.k = k;
+    opts.use_square_syr2k = square;
+    opts.syr2k_block = 16;
+    opts.threads = threads;
+    trace::Recorder rec;
+    {
+      trace::Scope scope(rec);
+      sbr::dbbr(a.view(), opts);
+    }
+    std::string why;
+    EXPECT_TRUE(same_ops(rec.ops(), synth, &why))
+        << "threads=" << threads << ": " << why;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, DbbrTraceFidelity,
@@ -208,6 +219,99 @@ INSTANTIATE_TEST_SUITE_P(Sizes, DbbrTraceFidelity,
                                            std::tuple{65, 8, 16, false},
                                            std::tuple{51, 4, 16, true},
                                            std::tuple{96, 16, 32, false}));
+
+// ---- A traced band reduction runs the production schedule. ----
+
+// Reduce a0 untraced and traced with `reduce`: the traced run must record
+// exactly `synth` (the canonical op order), leave a band and panels bitwise
+// equal to the untraced run's, and run task-graph nodes — an op trace does
+// not change the schedule.
+template <class T, class Reduce>
+void expect_traced_run_matches(const MatrixT<T>& a0,
+                               const std::vector<trace::Op>& synth,
+                               const Reduce& reduce) {
+  MatrixT<T> plain = a0;
+  const sbr::BandFactorT<T> fplain = reduce(plain.view());
+
+  obs::Counter* nodes =
+      obs::Registry::global().counter("taskgraph.nodes_run");
+  const long long nodes_before = nodes->value();
+  MatrixT<T> traced = a0;
+  trace::Recorder rec;
+  sbr::BandFactorT<T> ftraced;
+  {
+    trace::Scope scope(rec);
+    ftraced = reduce(traced.view());
+  }
+  EXPECT_GT(nodes->value(), nodes_before);
+
+  std::string why;
+  EXPECT_TRUE(same_ops(rec.ops(), synth, &why)) << why;
+  EXPECT_EQ(max_abs_diff<T>(traced.view(), plain.view()), 0.0);
+  ASSERT_EQ(ftraced.panels.size(), fplain.panels.size());
+  for (std::size_t p = 0; p < ftraced.panels.size(); ++p) {
+    EXPECT_EQ(ftraced.panels[p].row0, fplain.panels[p].row0);
+    EXPECT_EQ(max_abs_diff<T>(ftraced.panels[p].v.view(),
+                              fplain.panels[p].v.view()),
+              0.0)
+        << "panel " << p;
+    EXPECT_EQ(max_abs_diff<T>(ftraced.panels[p].t.view(),
+                              fplain.panels[p].t.view()),
+              0.0)
+        << "panel " << p;
+  }
+}
+
+TEST(Lookahead, TracedRunIsTheProductionSchedule) {
+  struct MetricsArm {
+    MetricsArm() { obs::arm_metrics(); }
+    ~MetricsArm() { obs::disarm_metrics(); }
+  } metrics;
+  // Both sizes end on a partial panel (the fixup runs); syr2k_block = 16
+  // gives several tiles per trailing update.
+  const index_t n_dbbr = 97, n_sy2sb = 83, b = 8, k = 32, block = 16;
+  Rng rng(779);
+  const Matrix a_dbbr = random_symmetric(n_dbbr, rng);
+  const MatrixT<float> a_dbbr_f = converted<float>(a_dbbr.view());
+  const Matrix a_sy2sb = random_symmetric(n_sy2sb, rng);
+
+  for (const int threads : {1, 2, 8}) {
+    for (const index_t depth : {index_t{0}, index_t{1}}) {
+      for (const bool square : {true, false}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "threads=" << threads << " lookahead=" << depth
+                     << " square=" << square);
+        sbr::BandReductionOptions o;
+        o.b = b;
+        o.k = k;
+        o.syr2k_block = block;
+        o.threads = threads;
+        o.lookahead = depth;
+        o.use_square_syr2k = square;
+        const auto dbbr_ops =
+            gpumodel::trace_dbbr(n_dbbr, b, k, square, block);
+        {
+          SCOPED_TRACE("dbbr<double>");
+          expect_traced_run_matches<double>(
+              a_dbbr, dbbr_ops,
+              [&](MatrixView a) { return sbr::dbbr(a, o); });
+        }
+        {
+          SCOPED_TRACE("dbbr<float>");
+          expect_traced_run_matches<float>(
+              a_dbbr_f, dbbr_ops,
+              [&](MatrixViewT<float> a) { return sbr::dbbr(a, o); });
+        }
+        {
+          SCOPED_TRACE("sy2sb");
+          expect_traced_run_matches<double>(
+              a_sy2sb, gpumodel::trace_sy2sb(n_sy2sb, b, square, block),
+              [&](MatrixView a) { return sbr::sy2sb(a, b, o); });
+        }
+      }
+    }
+  }
+}
 
 TEST(BackTransformTraceFidelity, AllVariants) {
   Rng rng(4);

@@ -542,6 +542,41 @@ TEST(Profile, ValuesOnlyRunHasNoBacktransformPhase) {
   EXPECT_EQ(res.profile.phases[1].name, "solver");
 }
 
+TEST(Profile, ProfiledRunTimesTheProductionSchedule) {
+  // Profiling traces the schedule an unprofiled run executes — here the
+  // look-ahead task graph: the results and the plan are the same, the band
+  // reduction runs graph nodes, and the traced work equals a serial
+  // profiled run's.
+  const index_t n = 256;
+  Rng rng(27);
+  const Matrix a = random_symmetric(n, rng);
+  ScopedMetrics armed;
+  obs::Counter* nodes =
+      obs::Registry::global().counter("taskgraph.nodes_run");
+
+  eig::EvdOptions opts;
+  opts.tridiag.threads = 4;
+  const eig::EvdResult plain = eig::eigh(a.view(), opts);
+  opts.profile = true;
+  const long long nodes_before = nodes->value();
+  const eig::EvdResult prof = eig::eigh(a.view(), opts);
+  EXPECT_GT(nodes->value(), nodes_before);
+
+  ASSERT_TRUE(prof.profile.enabled);
+  EXPECT_EQ(prof.plan_source, plain.plan_source);
+  EXPECT_NE(prof.plan_source.find("+la1"), std::string::npos)
+      << prof.plan_source;
+  EXPECT_EQ(prof.eigenvalues, plain.eigenvalues);
+  EXPECT_EQ(max_abs_diff(prof.eigenvectors.view(), plain.eigenvectors.view()),
+            0.0);
+
+  opts.tridiag.threads = 1;
+  const eig::EvdResult serial = eig::eigh(a.view(), opts);
+  ASSERT_TRUE(serial.profile.enabled);
+  EXPECT_EQ(prof.profile.phases[0].name, "tridiagonalize");
+  EXPECT_EQ(prof.profile.phases[0].flops, serial.profile.phases[0].flops);
+}
+
 
 // ---------------------------------------------------------------------------
 // Trace-context propagation (request-scoped tracing).

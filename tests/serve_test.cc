@@ -452,41 +452,6 @@ TEST(ServeWireTest, FormatsStatsWithAccounting) {
 }
 
 
-TEST(ServeTest, ReservoirAndHistogramPercentilesAgreeWithinOneBucket) {
-  serve::ServeCore core;
-  std::vector<serve::Ticket> tickets;
-  for (int i = 0; i < 32; ++i) {
-    tickets.push_back(core.submit(test_matrix(48, 100 + i)));
-  }
-  for (auto& t : tickets) t.response.get();
-  const serve::ServeStats s = core.stats();
-  ASSERT_GT(s.hist_p50_ms, 0.0);
-  EXPECT_GE(s.hist_p95_ms, s.hist_p50_ms);
-  EXPECT_GE(s.hist_p99_ms, s.hist_p95_ms);
-
-  // Both estimators summarize the same resolutions: the histogram reports
-  // the upper bound of the percentile's ladder bucket, so it must land in
-  // the same bucket as the reservoir value or the one adjacent (ties at a
-  // bucket edge can fall either way).
-  int nb = 0;
-  const double* bounds = obs::latency_bounds_ms(&nb);
-  const auto ladder_index = [&](double v) {
-    for (int i = 0; i < nb; ++i) {
-      if (v <= bounds[i]) return i;
-    }
-    return nb - 1;
-  };
-  const auto expect_close = [&](double reservoir_p, double hist_p,
-                                const char* which) {
-    EXPECT_LE(std::abs(ladder_index(reservoir_p) - ladder_index(hist_p)), 1)
-        << which << ": reservoir=" << reservoir_p << "ms hist=" << hist_p
-        << "ms";
-  };
-  expect_close(s.p50_ms, s.hist_p50_ms, "p50");
-  expect_close(s.p95_ms, s.hist_p95_ms, "p95");
-  expect_close(s.p99_ms, s.hist_p99_ms, "p99");
-}
-
 TEST(ServeTest, MintsUniqueRequestIdsIncludingRejects) {
   serve::ServeOptions sopts;
   sopts.queue_capacity = 2;
