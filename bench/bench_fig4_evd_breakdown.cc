@@ -3,9 +3,13 @@
 // into SBR 22.1 s / BC 23.9 s with divide & conquer at just 7.6%.
 //
 // Projected breakdown at n = 49152 via synthetic traces; measured breakdown
-// of our real pipelines at laptop scale.
+// of our real pipelines at laptop scale, each phase the median of
+// kMeasuredRuns solves (one solve's phases moved by 20 points between
+// identical runs on a shared host).
 
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include <tdg/eig.h>
 
@@ -66,7 +70,13 @@ int main(int argc, char** argv) {
                 benchutil::tridiag_flops(n) / (dbbr + bcs) / 1e12);
   }
 
-  benchutil::header("Measured CPU breakdown (eigenvalues + vectors)");
+  constexpr int kMeasuredRuns = 3;
+  benchutil::header(
+      "Measured CPU breakdown (eigenvalues + vectors, median of 3 runs)");
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
   Rng rng(8);
   const index_t nm = benchutil::arg_int(argc, argv, "nmeasured", 768);
   const Matrix a = random_symmetric(nm, rng);
@@ -76,19 +86,25 @@ int main(int argc, char** argv) {
     opts.tridiag.method = method;
     opts.tridiag.b = 32;
     opts.tridiag.k = 256;
-    const eig::EvdResult r = eig::eigh(a.view(), opts);
-    const double total =
-        r.seconds_tridiag + r.seconds_solver + r.seconds_backtransform;
+    std::vector<double> tridiag, solver, backtransform;
+    for (int run = 0; run < kMeasuredRuns; ++run) {
+      const eig::EvdResult r = eig::eigh(a.view(), opts);
+      tridiag.push_back(r.seconds_tridiag);
+      solver.push_back(r.seconds_solver);
+      backtransform.push_back(r.seconds_backtransform);
+    }
+    const double t_tri = median(tridiag);
+    const double t_dc = median(solver);
+    const double t_bt = median(backtransform);
+    const double total = t_tri + t_dc + t_bt;
     const char* name = method == TridiagMethod::kDirect ? "direct "
                        : method == TridiagMethod::kTwoStageClassic
                            ? "classic"
                            : "dbbr   ";
     std::printf("n=%lld %s: tridiag %.2f s (%.0f%%), D&C %.2f s (%.0f%%), "
                 "back-transform %.2f s (%.0f%%)\n",
-                static_cast<long long>(nm), name, r.seconds_tridiag,
-                100.0 * r.seconds_tridiag / total, r.seconds_solver,
-                100.0 * r.seconds_solver / total, r.seconds_backtransform,
-                100.0 * r.seconds_backtransform / total);
+                static_cast<long long>(nm), name, t_tri, 100.0 * t_tri / total,
+                t_dc, 100.0 * t_dc / total, t_bt, 100.0 * t_bt / total);
   }
   return 0;
 }

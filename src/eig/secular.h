@@ -2,12 +2,21 @@
 //
 // Given strictly increasing poles d_0 < d_1 < ... < d_{k-1}, weights z with
 // z_i != 0, and rho > 0, finds the k roots of
-//     f(lambda) = 1 + rho * sum_i z_i^2 / (d_i - lambda) = 0,
+//     f(lambda) = 1/rho + sum_i z_i^2 / (d_i - lambda) = 0,
 // with root j in (d_j, d_{j+1}) and root k-1 in (d_{k-1}, d_{k-1}+rho z^T z).
 //
 // Each root is represented as (base pole index, offset mu) with
 // lambda = d_base + mu, so that differences lambda - d_i needed by the
 // eigenvector formula are computed without catastrophic cancellation.
+//
+// The root finder is the safeguarded fixed-weight rational interpolation of
+// the LAPACK dlaed4 family (Bunch–Nielsen–Sorensen; R.-C. Li, LAWN 89):
+// about five O(k) evaluations of f per root, with a bisection fallback that
+// keeps every iterate inside the root's bracket. The per-root loops of
+// solve_secular and recompute_z, and the eigenvector fill in stedc, run on
+// the global pool in fixed kSecularChunk-sized chunks; every root's
+// arithmetic is independent of the worker that runs it, so results are
+// bitwise identical for any thread count.
 #pragma once
 
 #include <vector>
@@ -16,14 +25,22 @@
 
 namespace tdg::eig {
 
+/// Roots (or eigenvector columns) per pool task in the merge's per-root
+/// loops. A constant, so the chunk grid depends only on k.
+inline constexpr index_t kSecularChunk = 32;
+
 struct SecularRoot {
   double lambda = 0.0;  // the root itself (= d[base] + mu)
   double mu = 0.0;      // accurate offset from the base pole
   index_t base = 0;     // index of the nearest pole used as the shift origin
+  int evals = 0;        // O(k) evaluations of f spent on this root
 };
 
 /// Solve for all k roots. Preconditions: d strictly increasing, all z_i
-/// non-zero, rho > 0. Throws tdg::Error on a malformed problem.
+/// non-zero, rho > 0. Throws tdg::Error on a malformed problem, and
+/// kNoConvergence (context: root index, iteration count) if a root's
+/// iteration cap is reached. While metrics are armed, adds the roots and
+/// evaluations to the counters eig.secular.roots / eig.secular.evals.
 std::vector<SecularRoot> solve_secular(const std::vector<double>& d,
                                        const std::vector<double>& z,
                                        double rho);

@@ -7,7 +7,10 @@
 // equation with the two standard deflation rules (negligible z components;
 // nearly-equal poles removed with a Givens rotation), and composes the
 // eigenvector update as one fat GEMM — which is why D&C dominates QL for
-// eigenvectors, and why the paper reuses MAGMA's stedc on the GPU.
+// eigenvectors, and why the paper reuses MAGMA's stedc on the GPU. The
+// merge's per-root loops (secular roots, recomputed weights, eigenvector
+// columns) run on the global pool in fixed chunks, so the result is bitwise
+// identical for any thread count.
 
 #include <algorithm>
 #include <cmath>
@@ -17,6 +20,7 @@
 
 #include "common/cancel.h"
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "eig/eig.h"
 #include "eig/secular.h"
 #include "la/blas.h"
@@ -28,9 +32,10 @@ namespace {
 
 // Diagonalise M = D + rho * z z^T in place: d (size m) receives ascending
 // eigenvalues, and the columns of q (m x m, holding the current basis) are
-// recombined so q_out = q_in * (eigenvectors of M).
-void rank_one_merge(std::vector<double>& d, std::vector<double>& z, double rho,
-                    MatrixView q) {
+// recombined so q_out = q_in * (eigenvectors of M). Returns the secular
+// function evaluations spent on the roots.
+long long rank_one_merge(std::vector<double>& d, std::vector<double>& z,
+                         double rho, MatrixView q) {
   const index_t m = static_cast<index_t>(d.size());
   const double eps = std::numeric_limits<double>::epsilon();
 
@@ -51,7 +56,7 @@ void rank_one_merge(std::vector<double>& d, std::vector<double>& z, double rho,
     }
     d = ds;
     copy(qs.view(), q);
-    return;
+    return 0;
   }
 
   // Reduce to rho > 0 by negation (eigenvectors are unaffected).
@@ -65,10 +70,7 @@ void rank_one_merge(std::vector<double>& d, std::vector<double>& z, double rho,
   double zz = 0.0;
   for (double zi : z) zz += zi * zi;
   const double znorm = std::sqrt(zz);
-  if (znorm == 0.0) {
-    rank_one_merge(d, z, 0.0, q);
-    return;
-  }
+  if (znorm == 0.0) return rank_one_merge(d, z, 0.0, q);
   std::vector<double> zw(static_cast<std::size_t>(m));
   for (index_t i = 0; i < m; ++i)
     zw[static_cast<std::size_t>(i)] = z[static_cast<std::size_t>(i)] / znorm;
@@ -152,6 +154,7 @@ void rank_one_merge(std::vector<double>& d, std::vector<double>& z, double rho,
 
   Matrix qv;  // m x k updated eigenvector columns
   std::vector<SecularRoot> roots;
+  long long evals = 0;
   if (k > 0) {
     std::vector<double> dk(static_cast<std::size_t>(k)),
         zk(static_cast<std::size_t>(k));
@@ -162,14 +165,14 @@ void rank_one_merge(std::vector<double>& d, std::vector<double>& z, double rho,
           zs[static_cast<std::size_t>(surv[static_cast<std::size_t>(t)])];
     }
     roots = solve_secular(dk, zk, rhow);
+    for (const SecularRoot& r : roots) evals += r.evals;
     const std::vector<double> zhat = recompute_z(dk, zk, rhow, roots);
 
     Matrix v(k, k);
-    std::vector<double> vcol(static_cast<std::size_t>(k));
-    for (index_t j = 0; j < k; ++j) {
-      secular_eigenvector(dk, zhat, roots, j, vcol.data());
-      for (index_t t = 0; t < k; ++t) v(t, j) = vcol[static_cast<std::size_t>(t)];
-    }
+    parallel_chunks(k, kSecularChunk, [&](index_t lo, index_t hi) {
+      for (index_t j = lo; j < hi; ++j)
+        secular_eigenvector(dk, zhat, roots, j, &v(0, j));
+    });
 
     // Q_sub (m x k) * V (k x k): the fat GEMM of the merge.
     Matrix qsub(m, k);
@@ -207,13 +210,15 @@ void rank_one_merge(std::vector<double>& d, std::vector<double>& z, double rho,
     }
   }
   copy(qout.view(), q);
+  return evals;
 }
 
-void solve_recursive(double* d, double* e, index_t m, MatrixView q,
-                     index_t smlsiz) {
+// Returns the secular function evaluations spent in this subtree's merges.
+long long solve_recursive(double* d, double* e, index_t m, MatrixView q,
+                          index_t smlsiz) {
   if (m == 1) {
     q(0, 0) = 1.0;
-    return;
+    return 0;
   }
   if (m <= smlsiz) {
     std::vector<double> dd(d, d + m);
@@ -222,7 +227,7 @@ void solve_recursive(double* d, double* e, index_t m, MatrixView q,
     for (index_t i = 0; i < m; ++i) q(i, i) = 1.0;
     steqr(dd, ee, &q);
     std::copy(dd.begin(), dd.end(), d);
-    return;
+    return 0;
   }
 
   // One cancellation poll per merge node of the D&C tree (phase-boundary
@@ -235,9 +240,9 @@ void solve_recursive(double* d, double* e, index_t m, MatrixView q,
   d[m1] -= rho;
 
   fill(q, 0.0);
-  solve_recursive(d, e, m1, q.block(0, 0, m1, m1), smlsiz);
-  solve_recursive(d + m1, e + m1, m - m1, q.block(m1, m1, m - m1, m - m1),
-                  smlsiz);
+  long long evals = solve_recursive(d, e, m1, q.block(0, 0, m1, m1), smlsiz);
+  evals += solve_recursive(d + m1, e + m1, m - m1,
+                           q.block(m1, m1, m - m1, m - m1), smlsiz);
 
   // z = [last row of Q1 ; first row of Q2].
   std::vector<double> z(static_cast<std::size_t>(m));
@@ -245,8 +250,9 @@ void solve_recursive(double* d, double* e, index_t m, MatrixView q,
   for (index_t i = m1; i < m; ++i) z[static_cast<std::size_t>(i)] = q(m1, i);
 
   std::vector<double> dv(d, d + m);
-  rank_one_merge(dv, z, rho, q);
+  evals += rank_one_merge(dv, z, rho, q);
   std::copy(dv.begin(), dv.end(), d);
+  return evals;
 }
 
 }  // namespace
@@ -262,7 +268,7 @@ void stedc(std::vector<double>& d, std::vector<double>& e, MatrixView q,
   obs::Span span("stedc");
   span.attr("n", n);
   span.attr("smlsiz", smlsiz);
-  solve_recursive(d.data(), e.data(), n, q, smlsiz);
+  span.attr("secular_evals", solve_recursive(d.data(), e.data(), n, q, smlsiz));
 }
 
 }  // namespace tdg::eig

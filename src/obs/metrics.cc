@@ -66,20 +66,6 @@ long long BoundedHistogram::count() const {
   return c;
 }
 
-double BoundedHistogram::percentile(double p) const {
-  const long long total = count();
-  if (total <= 0) return 0.0;
-  p = std::clamp(p, 0.0, 1.0);
-  const long long rank = std::max<long long>(
-      1, static_cast<long long>(std::ceil(p * static_cast<double>(total))));
-  long long cum = 0;
-  for (int i = 0; i < n_; ++i) {
-    cum += buckets_[i].load(std::memory_order_relaxed);
-    if (cum >= rank) return bounds_[i];
-  }
-  return n_ > 0 ? bounds_[n_ - 1] : 0.0;  // overflow: the largest bound
-}
-
 void BoundedHistogram::reset() {
   for (int i = 0; i <= n_; ++i) {
     buckets_[i].store(0, std::memory_order_relaxed);
@@ -286,6 +272,8 @@ Registry& Registry::global() {
     r->counter("evd.recovery.dc_steqr", Gating::kAlways);
     r->counter("evd.recovery.dc_steqr_bisect", Gating::kAlways);
     r->counter("evd.recovery.steqr_bisect", Gating::kAlways);
+    r->counter("eig.secular.roots");
+    r->counter("eig.secular.evals");
     r->counter("evd.refine_iters", Gating::kAlways);
     r->counter("evd.fp32_fallbacks", Gating::kAlways);
     r->gauge("evd.peak_workspace_bytes", Gating::kAlways);

@@ -164,9 +164,9 @@ class Histogram {
 
 /// Explicit-bound histogram for latency-style samples — the Prometheus
 /// classic-histogram shape: bucket i counts samples <= bounds[i] (bounds
-/// ascending; one implicit +Inf overflow bucket), so percentile estimates
-/// are deterministic (a pure function of the bucket counts) and two
-/// exporters can never disagree. Lock-free like Histogram: atomic buckets,
+/// ascending; one implicit +Inf overflow bucket), so the exported series
+/// is a pure function of the recorded samples and two exporters can never
+/// disagree. Lock-free like Histogram: atomic buckets,
 /// sum kept in milli-units so concurrent record() never tears and after
 /// quiescence count() equals the sum of buckets exactly.
 class BoundedHistogram {
@@ -191,11 +191,6 @@ class BoundedHistogram {
     return static_cast<double>(sum_milli_.load(std::memory_order_relaxed)) /
            1e3;
   }
-
-  /// Deterministic percentile estimate: the upper bound of the bucket
-  /// holding the ceil(p * count)-th sample (the largest finite bound for
-  /// overflow samples). Exact to within one bucket bound by construction.
-  double percentile(double p) const;
 
   void reset();
 

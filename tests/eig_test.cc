@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "eig/drivers.h"
 #include "eig/eig.h"
 #include "eig/secular.h"
@@ -136,6 +137,113 @@ TEST(Secular, RecomputedZReproducesOriginalOnExactData) {
   }
 }
 
+// ---- adversarial secular equations ----------------------------------------
+
+// Every root strictly inside its interval (checked in the accurate
+// (base, mu) representation: a root within an ulp of a pole rounds onto it
+// as a plain double) and a secular residual within the 1e-10 bound of
+// RootsInterlaceAndSolveExactly, relative to 1 + rho * sum |z_i^2 / (d_i -
+// lambda)| — the magnitude of the terms, O(1) on well-separated poles; in a
+// cluster the two nearest terms cancel and no root in floating point can do
+// better than eps times it.
+void expect_secular_solved(const std::vector<double>& d,
+                           const std::vector<double>& z, double rho) {
+  const index_t k = static_cast<index_t>(d.size());
+  const auto roots = eig::solve_secular(d, z, rho);
+  ASSERT_EQ(static_cast<index_t>(roots.size()), k);
+  double zz = 0.0;
+  for (double zi : z) zz += zi * zi;
+  for (index_t j = 0; j < k; ++j) {
+    const eig::SecularRoot& r = roots[static_cast<size_t>(j)];
+    EXPECT_LT(eig::pole_minus_root(d, r, j), 0.0) << "root " << j;
+    EXPECT_GE(r.lambda, d[static_cast<size_t>(j)]) << "root " << j;
+    if (j + 1 < k) {
+      EXPECT_GT(eig::pole_minus_root(d, r, j + 1), 0.0) << "root " << j;
+      EXPECT_LE(r.lambda, d[static_cast<size_t>(j + 1)]) << "root " << j;
+    } else {
+      EXPECT_LE(-eig::pole_minus_root(d, r, k - 1), rho * zz * (1.0 + 1e-15))
+          << "last root";
+    }
+    double f = 1.0;
+    double mag = 1.0;
+    for (index_t i = 0; i < k; ++i) {
+      const double t = rho * z[static_cast<size_t>(i)] *
+                       z[static_cast<size_t>(i)] /
+                       eig::pole_minus_root(d, r, i);
+      f += t;
+      mag += std::abs(t);
+    }
+    EXPECT_LT(std::abs(f), 1e-10 * mag) << "root " << j;
+  }
+}
+
+std::vector<double> unit_weights(index_t k, Rng& rng) {
+  std::vector<double> z(static_cast<size_t>(k));
+  double zz = 0.0;
+  for (auto& x : z) {
+    x = rng.normal();
+    zz += x * x;
+  }
+  for (auto& x : z) x /= std::sqrt(zz);
+  return z;
+}
+
+TEST(Secular, PoleClustersWithRelativeGapsNear1em13) {
+  // Triples of poles 1e-13 apart (relative) around 1, 2, ..., with the
+  // isolated poles between them.
+  std::vector<double> d;
+  for (int c = 1; c <= 6; ++c) {
+    const double x = static_cast<double>(c);
+    d.push_back(x - 0.5);
+    d.push_back(x);
+    d.push_back(x * (1.0 + 1e-13));
+    d.push_back(x * (1.0 + 2e-13));
+  }
+  Rng rng(91);
+  const auto z = unit_weights(static_cast<index_t>(d.size()), rng);
+  expect_secular_solved(d, z, 1.0);
+}
+
+TEST(Secular, GradedWeightsSpanning1em150To1) {
+  const index_t k = 31;
+  std::vector<double> d(static_cast<size_t>(k)), z(static_cast<size_t>(k));
+  for (index_t i = 0; i < k; ++i) {
+    d[static_cast<size_t>(i)] = static_cast<double>(i) * 0.37 - 2.0;
+    const double t = static_cast<double>(i) / static_cast<double>(k - 1);
+    // Alternate the ends so tiny and O(1) weights sit next to each other.
+    const double e = (i % 2 == 0) ? -150.0 * t : -150.0 * (1.0 - t);
+    z[static_cast<size_t>(i)] = std::pow(10.0, e);
+  }
+  expect_secular_solved(d, z, 1.0);
+}
+
+TEST(Secular, ExtremeCouplingRho) {
+  Rng rng(92);
+  const index_t k = 40;
+  std::vector<double> d(static_cast<size_t>(k));
+  for (auto& x : d) x = rng.normal();
+  std::sort(d.begin(), d.end());
+  const auto z = unit_weights(k, rng);
+  for (double rho : {1e-12, 1e12}) {
+    SCOPED_TRACE(rho);
+    expect_secular_solved(d, z, rho);
+  }
+}
+
+TEST(Secular, LastRootFarBeyondTheLargestPole) {
+  // rho * |z|^2 = 1e8 against poles in [0, 1]: the last root sits near
+  // 1e8, every other root near a pole.
+  Rng rng(93);
+  const index_t k = 24;
+  std::vector<double> d(static_cast<size_t>(k));
+  for (index_t i = 0; i < k; ++i)
+    d[static_cast<size_t>(i)] = static_cast<double>(i) / (k - 1);
+  const auto z = unit_weights(k, rng);
+  expect_secular_solved(d, z, 1e8);
+  const auto roots = eig::solve_secular(d, z, 1e8);
+  EXPECT_GT(roots.back().lambda, 0.99e8);
+}
+
 class StedcTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(StedcTest, MatchesSteqrAndIsOrthogonal) {
@@ -196,6 +304,110 @@ TEST(Stedc, ZeroCouplingSplitsCleanly) {
   Matrix q(n, n);
   eig::stedc(dd, ee, q.view(), 4);
   EXPECT_LT(eigen_residual(t.view(), q.view(), dd), 1e-12 * n);
+}
+
+// ---- adversarial stedc inputs ---------------------------------------------
+
+// Orthogonality and residual within the 1e-11 * n bounds of StedcTest, and
+// the result bitwise equal at 1, 2 and 4 threads (the merge's per-root
+// loops run on the pool).
+void expect_stedc_exact_and_thread_invariant(const std::vector<double>& d,
+                                             const std::vector<double>& e,
+                                             index_t smlsiz) {
+  const index_t n = static_cast<index_t>(d.size());
+  const Matrix t = tridiag_dense(d, e);
+  std::vector<double> d1;
+  Matrix q1;
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    ThreadLimit limit(threads);
+    std::vector<double> dd = d, ee = e;
+    Matrix q(n, n);
+    eig::stedc(dd, ee, q.view(), smlsiz);
+    if (threads == 1) {
+      EXPECT_TRUE(std::is_sorted(dd.begin(), dd.end()));
+      EXPECT_LT(orthogonality_error(q.view()), 1e-11 * n);
+      EXPECT_LT(eigen_residual(t.view(), q.view(), dd), 1e-11 * n);
+      d1 = dd;
+      q1 = q;
+      continue;
+    }
+    EXPECT_EQ(dd, d1);
+    EXPECT_TRUE(std::equal(q.data(), q.data() + n * n, q1.data()));
+  }
+}
+
+// Wilkinson W21+ (diagonal |i - 10|, off-diagonal 1) glued `copies` times
+// with off-diagonal `glue`: clusters of nearly equal eigenvalues.
+void glued_wilkinson(int copies, double glue, std::vector<double>* d,
+                     std::vector<double>* e) {
+  d->clear();
+  e->clear();
+  for (int c = 0; c < copies; ++c) {
+    for (int i = 0; i < 21; ++i) {
+      d->push_back(std::abs(i - 10.0));
+      if (i < 20) e->push_back(1.0);
+    }
+    if (c + 1 < copies) e->push_back(glue);
+  }
+}
+
+TEST(Stedc, GluedWilkinsonW21Plus) {
+  for (double glue : {1e-10, 1e-14}) {
+    SCOPED_TRACE(glue);
+    std::vector<double> d, e;
+    glued_wilkinson(6, glue, &d, &e);
+    expect_stedc_exact_and_thread_invariant(d, e, 8);
+  }
+}
+
+TEST(Stedc, HalvesWithSpectraOffsetBy1em13) {
+  // T = [T1, c; c, T1 + 1e-13 |T1|]: at the top merge every pole has a
+  // partner at a relative gap of about 1e-13, above the deflation
+  // tolerance.
+  const index_t h = 48;
+  Rng rng(94);
+  std::vector<double> d(static_cast<size_t>(2 * h)),
+      e(static_cast<size_t>(2 * h - 1));
+  for (index_t i = 0; i < h; ++i) {
+    const double di = 1.0 + 0.5 * rng.normal();
+    d[static_cast<size_t>(i)] = di;
+    d[static_cast<size_t>(h + i)] = di * (1.0 + 1e-13);
+  }
+  for (index_t i = 0; i + 1 < h; ++i) {
+    const double ei = 0.3 * rng.normal();
+    e[static_cast<size_t>(i)] = ei;
+    e[static_cast<size_t>(h + i)] = ei;
+  }
+  e[static_cast<size_t>(h - 1)] = 0.5;
+  expect_stedc_exact_and_thread_invariant(d, e, 8);
+}
+
+TEST(Stedc, GradedCouplingsSpanning1em150To1) {
+  const index_t n = 96;
+  Rng rng(95);
+  std::vector<double> d(static_cast<size_t>(n)), e(static_cast<size_t>(n - 1));
+  for (auto& x : d) x = rng.normal();
+  for (index_t i = 0; i + 1 < n; ++i) {
+    const double t = static_cast<double>(i) / static_cast<double>(n - 2);
+    e[static_cast<size_t>(i)] = std::pow(10.0, -150.0 * t);
+  }
+  expect_stedc_exact_and_thread_invariant(d, e, 8);
+}
+
+TEST(Stedc, ExtremeCouplings) {
+  const index_t n = 96;
+  Rng rng(96);
+  std::vector<double> d(static_cast<size_t>(n)), e(static_cast<size_t>(n - 1));
+  // rho = 1e-12 at every merge: roots within ~1e-12 of their poles.
+  for (auto& x : d) x = rng.normal();
+  for (auto& x : e) x = 1e-12 * (1.0 + rng.uniform());
+  expect_stedc_exact_and_thread_invariant(d, e, 8);
+  // Couplings 1e12 times the diagonal spread: rho |z|^2 far beyond the
+  // poles, the last root of each merge far beyond the largest pole.
+  for (auto& x : d) x = 1e-12 * rng.normal();
+  for (auto& x : e) x = 1.0 + rng.uniform();
+  expect_stedc_exact_and_thread_invariant(d, e, 8);
 }
 
 TEST(Eigh, DirectMatchesSpectrumGenerator) {

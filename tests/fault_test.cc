@@ -10,6 +10,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "eig/drivers.h"
+#include "eig/secular.h"
 #include "la/blas.h"
 #include "la/generate.h"
 #include "obs/metrics.h"
@@ -463,20 +465,59 @@ TEST(SolverFallback, ExplicitSteqrSolverFallsBackToBisect) {
 }
 
 TEST(SolverFallback, SecularFailureTriggersDcFallback) {
-  const index_t n = 48;
-  Rng rng(15);
-  const Matrix a = random_symmetric(n, rng);
-  eig::EvdOptions opts;
-  opts.knobs.smlsiz = 8;  // force real D&C merges so the secular solver runs
-  const eig::EvdResult clean = eig::eigh(a.view(), opts);
-  ASSERT_TRUE(clean.recovery.empty());
+  // n = 48 with smlsiz 8 forces small real D&C merges; n = 384 with smlsiz
+  // 32 gives merges of up to 384 roots, so the secular solver's roots are
+  // spread over several pool chunks at 4 threads.
+  for (const auto& [n, smlsiz] : {std::pair<index_t, index_t>{48, 8},
+                                  std::pair<index_t, index_t>{384, 32}}) {
+    Rng rng(15);
+    const Matrix a = random_symmetric(n, rng);
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " threads=" +
+                   std::to_string(threads));
+      ThreadLimit limit(threads);
+      eig::EvdOptions opts;
+      opts.knobs.smlsiz = smlsiz;
+      const eig::EvdResult clean = eig::eigh(a.view(), opts);
+      ASSERT_TRUE(clean.recovery.empty());
 
-  fault::Scoped armed("secular_root");
-  const eig::EvdResult res = eig::eigh(a.view(), opts);
-  EXPECT_EQ(res.recovery, "dc->steqr");
-  for (index_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(res.eigenvalues[static_cast<size_t>(i)],
-                clean.eigenvalues[static_cast<size_t>(i)], 1e-9 * n);
+      fault::Scoped armed("secular_root");
+      const eig::EvdResult res = eig::eigh(a.view(), opts);
+      EXPECT_EQ(res.recovery, "dc->steqr");
+      for (index_t i = 0; i < n; ++i) {
+        EXPECT_NEAR(res.eigenvalues[static_cast<size_t>(i)],
+                    clean.eigenvalues[static_cast<size_t>(i)], 1e-9 * n);
+      }
+    }
+  }
+}
+
+TEST(SolverFallback, SecularFaultFailsTheNthRootAtAnyThreadCount) {
+  // The fault site is visited on the calling thread in root order before
+  // the roots are dispatched, so "secular_root:N" fails root N - 1 however
+  // many workers solve the roots.
+  const index_t k = 200;
+  Rng rng(17);
+  std::vector<double> d(static_cast<size_t>(k)), z(static_cast<size_t>(k));
+  for (index_t i = 0; i < k; ++i) {
+    d[static_cast<size_t>(i)] = static_cast<double>(i);
+    z[static_cast<size_t>(i)] = 0.1 + rng.uniform();
+  }
+  for (int threads : {1, 4}) {
+    for (long long trigger : {1LL, 77LL, 200LL}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " trigger=" + std::to_string(trigger));
+      ThreadLimit limit(threads);
+      fault::Scoped armed("secular_root", trigger);
+      try {
+        eig::solve_secular(d, z, 1.0);
+        FAIL() << "expected kNoConvergence";
+      } catch (const Error& err) {
+        EXPECT_EQ(err.code(), ErrorCode::kNoConvergence);
+        EXPECT_STREQ(err.context().stage, "secular");
+        EXPECT_EQ(err.context().index, trigger - 1);
+      }
+    }
   }
 }
 

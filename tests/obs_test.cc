@@ -24,8 +24,10 @@
 #include "common/rng.h"
 #include "common/task_graph.h"
 #include "common/thread_pool.h"
+#include "core/tridiag.h"
 #include "eig/batched.h"
 #include "eig/drivers.h"
+#include "eig/eig.h"
 #include "la/generate.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -151,8 +153,8 @@ TEST(Metrics, SnapshotJsonParsesWithCanonicalKeys) {
        {"pool.tasks_run", "pool.dispatches", "pool.parks", "pool.wakes",
         "bc.sweeps", "bc.gate_spin_episodes", "bc.stall_near_miss",
         "evd.recovery.dc_steqr", "evd.recovery.dc_steqr_bisect",
-        "evd.recovery.steqr_bisect", "plan.cache_hits", "plan.cache_misses",
-        "fault.fires"}) {
+        "evd.recovery.steqr_bisect", "eig.secular.roots", "eig.secular.evals",
+        "plan.cache_hits", "plan.cache_misses", "fault.fires"}) {
     EXPECT_NE(counters->find(name), nullptr) << name;
   }
 
@@ -205,6 +207,57 @@ TEST(Metrics, ChaseCountersObserveSweeps) {
   bc::chase_packed_parallel(band, b, opts, nullptr);
 
   EXPECT_EQ(sweeps->value() - sweeps0, n - 2);
+}
+
+// The secular root finder's work is countable. On the tridiagonal of a
+// seeded n = 384 random_symmetric matrix the D&C merges spend at most 8
+// evaluations per root (a silent fall-back to bisection costs ~50), the
+// counts are identical at 1, 2 and 4 threads, and the stedc span carries
+// the same total as its secular_evals attribute.
+TEST(Metrics, SecularRootFinderWorkIsCountedAndThreadInvariant) {
+  const index_t n = 384;
+  Rng rng(384);
+  const Matrix a = random_symmetric(n, rng);
+  TridiagOptions topts;
+  topts.want_factors = false;
+  const TridiagResult tri = tridiagonalize(a.view(), topts);
+
+  ScopedMetrics armed;
+  ScopedTracing traced;
+  obs::Registry& r = obs::Registry::global();
+  obs::Counter* roots = r.counter("eig.secular.roots");
+  obs::Counter* evals = r.counter("eig.secular.evals");
+  long long roots1 = 0;
+  long long evals1 = 0;
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    ThreadLimit limit(threads);
+    roots->reset();
+    evals->reset();
+    obs::clear_trace();
+    std::vector<double> d = tri.d, e = tri.e;
+    Matrix q(n, n);
+    eig::stedc(d, e, q.view(), 32);
+
+    EXPECT_GT(roots->value(), n);  // every merge level solves roots
+    EXPECT_LE(evals->value(), 8 * roots->value());
+    if (threads == 1) {
+      roots1 = roots->value();
+      evals1 = evals->value();
+    }
+    EXPECT_EQ(roots->value(), roots1);
+    EXPECT_EQ(evals->value(), evals1);
+
+    long long span_evals = -1;
+    for (const obs::SpanEvent& ev : obs::trace_snapshot()) {
+      if (std::string(ev.name) != "stedc") continue;
+      for (int i = 0; i < ev.nattrs; ++i) {
+        if (std::string(ev.attrs[i].key) == "secular_evals")
+          span_evals = ev.attrs[i].value;
+      }
+    }
+    EXPECT_EQ(span_evals, evals->value());
+  }
 }
 
 TEST(Metrics, PlanCacheGlobalStatsAliasRegistry) {
@@ -804,26 +857,6 @@ TEST(Metrics, BoundedHistogramExactUnderConcurrentRecords) {
   EXPECT_DOUBLE_EQ(h.sum(),
                    static_cast<double>(expect_each) * (0.5 + 3.0 + 75.0 +
                                                        12000.0));
-}
-
-TEST(Metrics, BoundedHistogramPercentilesAreDeterministicBucketBounds) {
-  int nb = 0;
-  const double* bounds = obs::latency_bounds_ms(&nb);
-  obs::BoundedHistogram h(bounds, nb, obs::Gating::kAlways);
-  EXPECT_EQ(h.percentile(0.5), 0.0);  // empty: no samples, no estimate
-
-  for (int i = 0; i < 90; ++i) h.record(3.0);    // -> le=5
-  for (int i = 0; i < 10; ++i) h.record(150.0);  // -> le=200
-  // Percentiles are bucket upper bounds — a pure function of the counts.
-  EXPECT_DOUBLE_EQ(h.percentile(0.50), 5.0);
-  EXPECT_DOUBLE_EQ(h.percentile(0.90), 5.0);
-  EXPECT_DOUBLE_EQ(h.percentile(0.95), 200.0);
-  EXPECT_DOUBLE_EQ(h.percentile(0.99), 200.0);
-
-  // Overflow samples report the largest finite bound.
-  obs::BoundedHistogram over(bounds, nb, obs::Gating::kAlways);
-  over.record(1e9);
-  EXPECT_DOUBLE_EQ(over.percentile(0.5), 60000.0);
 }
 
 TEST(Metrics, RegistryLatencySeriesKeyedByLabel) {
